@@ -1,0 +1,237 @@
+"""Area-preserving cubic Bezier segments.
+
+A segment interpolates endpoint positions and tangent directions; the two
+tangent magnitudes r1, r2 are the free parameters. Fixing r1 = h (the
+horizontal extent) and solving the signed-area constraint
+
+    (r1 r2 / 60) (a x b) + (r1/10) (d x a) + (r2/10) (b x d) + d1 d2 / 2
+        = target - p0_y (p1_x - p0_x)
+
+for r2 (all quantities translated so the first endpoint is the origin)
+makes the parametric area under the curve match the target exactly, which
+raises the interpolation from fourth to fifth order. When the r2
+coefficient degenerates or the solved r2 is non-positive the segment falls
+back to the plain cubic Hermite (r1 = r2 = h) and records that.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DegenerateSegment, ParameterOutOfRange
+
+__all__ = [
+    "BezierSegment",
+    "construct_area_preserving",
+    "segment_area",
+    "evaluate",
+    "intersect_vertical",
+    "split",
+]
+
+_GAUSS3_T = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
+_GAUSS3_W = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+
+
+@dataclass(frozen=True)
+class BezierSegment:
+    a: tuple[float, float]
+    c1: tuple[float, float]
+    c2: tuple[float, float]
+    d: tuple[float, float]
+    r1: float
+    r2: float
+    fallback: bool = False
+
+
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def construct_area_preserving(p0, p1, tan0, tan1, target_area: float) -> BezierSegment:
+    """Segment from p0 to p1 with tangent directions tan0/tan1 and exact area.
+
+    Control points are C1 = p0 + r1 tan0 / 3 and C2 = p1 - r2 tan1 / 3 with
+    r1 = |p1_x - p0_x| and r2 solved from the area constraint. Callers own
+    the tangent scaling; horizontal data uses slope form (1, m).
+    """
+    p0 = (float(p0[0]), float(p0[1]))
+    p1 = (float(p1[0]), float(p1[1]))
+    alpha = (float(tan0[0]), float(tan0[1]))
+    beta = (float(tan1[0]), float(tan1[1]))
+    d = (p1[0] - p0[0], p1[1] - p0[1])
+    h = abs(d[0])
+    diam = math.hypot(*d)
+    if diam == 0.0:
+        raise DegenerateSegment("coincident endpoints")
+    if h <= 1e-14 * diam:
+        raise DegenerateSegment("vertical data: no horizontal extent to interpolate over")
+    if alpha == (0.0, 0.0) or beta == (0.0, 0.0):
+        raise DegenerateSegment("zero tangent")
+
+    r1 = h
+    adjusted = float(target_area) - p0[1] * d[0]
+    coeff = (r1 / 60.0) * _cross(alpha, beta) + _cross(beta, d) / 10.0
+    rhs = adjusted - (r1 / 10.0) * _cross(d, alpha) - d[0] * d[1] / 2.0
+    na = math.hypot(*alpha)
+    nb = math.hypot(*beta)
+    coeff_scale = r1 * na * nb / 60.0 + nb * diam / 10.0
+
+    fallback = False
+    if abs(coeff) < 1e-12 * coeff_scale:
+        fallback = True
+        r2 = h
+    else:
+        r2 = rhs / coeff
+        if r2 <= 0.0:
+            fallback = True
+            r2 = h
+
+    c1 = (p0[0] + r1 * alpha[0] / 3.0, p0[1] + r1 * alpha[1] / 3.0)
+    c2 = (p1[0] - r2 * beta[0] / 3.0, p1[1] - r2 * beta[1] / 3.0)
+    return BezierSegment(p0, c1, c2, p1, r1, r2, fallback)
+
+
+def _coords(seg):
+    return (np.array([seg.a[0], seg.c1[0], seg.c2[0], seg.d[0]]),
+            np.array([seg.a[1], seg.c1[1], seg.c2[1], seg.d[1]]))
+
+
+def point_at(seg: BezierSegment, t):
+    """Bernstein evaluation of position; t may be scalar or array."""
+    s = 1.0 - t
+    b0 = s * s * s
+    b1 = 3.0 * s * s * t
+    b2 = 3.0 * s * t * t
+    b3 = t * t * t
+    x = b0 * seg.a[0] + b1 * seg.c1[0] + b2 * seg.c2[0] + b3 * seg.d[0]
+    y = b0 * seg.a[1] + b1 * seg.c1[1] + b2 * seg.c2[1] + b3 * seg.d[1]
+    return x, y
+
+
+def derivative_at(seg: BezierSegment, t):
+    s = 1.0 - t
+    dx = 3.0 * (s * s * (seg.c1[0] - seg.a[0])
+                + 2.0 * s * t * (seg.c2[0] - seg.c1[0])
+                + t * t * (seg.d[0] - seg.c2[0]))
+    dy = 3.0 * (s * s * (seg.c1[1] - seg.a[1])
+                + 2.0 * s * t * (seg.c2[1] - seg.c1[1])
+                + t * t * (seg.d[1] - seg.c2[1]))
+    return dx, dy
+
+
+def evaluate(seg: BezierSegment, t: float):
+    """Position and first derivative at parameter t in [0, 1]."""
+    if t < -1e-12 or t > 1.0 + 1e-12:
+        raise ParameterOutOfRange(f"t = {t} outside [0, 1]")
+    t = min(max(t, 0.0), 1.0)
+    return point_at(seg, t), derivative_at(seg, t)
+
+
+def segment_area(seg: BezierSegment) -> float:
+    """Signed parametric area under the segment, int B2 B1' dt.
+
+    The integrand has degree five, so three-point Gauss-Legendre is exact.
+    """
+    total = 0.0
+    for t, w in zip(_GAUSS3_T, _GAUSS3_W):
+        _, y = point_at(seg, t)
+        dx, _ = derivative_at(seg, t)
+        total += w * y * dx
+    return total
+
+
+def split(seg: BezierSegment, t: float) -> tuple[BezierSegment, BezierSegment]:
+    """De Casteljau subdivision at parameter t."""
+    a, c1, c2, d = seg.a, seg.c1, seg.c2, seg.d
+
+    def lerp(p, q):
+        return (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t)
+
+    p01 = lerp(a, c1)
+    p12 = lerp(c1, c2)
+    p23 = lerp(c2, d)
+    p012 = lerp(p01, p12)
+    p123 = lerp(p12, p23)
+    mid = lerp(p012, p123)
+    left = BezierSegment(a, p01, p012, mid, seg.r1 * t, seg.r2 * t, seg.fallback)
+    right = BezierSegment(mid, p123, p23, d, seg.r1 * (1 - t), seg.r2 * (1 - t), seg.fallback)
+    return left, right
+
+
+def _quadratic_roots(b, c, d):
+    if b == 0.0:
+        if c == 0.0:
+            return []
+        return [-d / c]
+    disc = c * c - 4.0 * b * d
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
+    roots = [q / b]
+    if q != 0.0:
+        roots.append(d / q)
+    elif disc > 0.0:
+        roots.append(0.0)
+    return roots
+
+
+def _cubic_roots(a, b, c, d):
+    """Real roots of a t^3 + b t^2 + c t + d, Cardano with the trig branch."""
+    scale = abs(a) + abs(b) + abs(c) + abs(d)
+    if scale == 0.0:
+        return []
+    if abs(a) < 1e-14 * scale:
+        return _quadratic_roots(b, c, d)
+    p = b / a
+    q = c / a
+    r = d / a
+    big_q = (p * p - 3.0 * q) / 9.0
+    big_r = (2.0 * p ** 3 - 9.0 * p * q + 27.0 * r) / 54.0
+    q3 = big_q ** 3
+    if big_r * big_r < q3:
+        theta = math.acos(max(-1.0, min(1.0, big_r / math.sqrt(q3))))
+        sq = -2.0 * math.sqrt(big_q)
+        return [sq * math.cos(theta / 3.0) - p / 3.0,
+                sq * math.cos((theta + 2.0 * math.pi) / 3.0) - p / 3.0,
+                sq * math.cos((theta - 2.0 * math.pi) / 3.0) - p / 3.0]
+    mag = (abs(big_r) + math.sqrt(max(0.0, big_r * big_r - q3))) ** (1.0 / 3.0)
+    big_a = -math.copysign(mag, big_r)
+    big_b = big_q / big_a if big_a != 0.0 else 0.0
+    return [big_a + big_b - p / 3.0]
+
+
+def intersect_vertical(seg: BezierSegment, x_line: float) -> list[float]:
+    """All parameters t in [0, 1] where the segment crosses x = x_line.
+
+    Analytic cubic roots, one Newton polish each, deduplicated to 1e-12.
+    """
+    x0, x1, x2, x3 = seg.a[0], seg.c1[0], seg.c2[0], seg.d[0]
+    c3 = -x0 + 3.0 * x1 - 3.0 * x2 + x3
+    c2 = 3.0 * (x0 - 2.0 * x1 + x2)
+    c1 = 3.0 * (x1 - x0)
+    c0 = x0 - x_line
+
+    roots = _cubic_roots(c3, c2, c1, c0)
+    out = []
+    for t in roots:
+        for _ in range(2):  # Newton polish on the monotone-enough local model
+            f = ((c3 * t + c2) * t + c1) * t + c0
+            df = (3.0 * c3 * t + 2.0 * c2) * t + c1
+            if df == 0.0:
+                break
+            step = f / df
+            t -= step
+            if abs(step) < 1e-15:
+                break
+        if -1e-12 <= t <= 1.0 + 1e-12:
+            out.append(min(max(t, 0.0), 1.0))
+    out.sort()
+    dedup: list[float] = []
+    for t in out:
+        if not dedup or t - dedup[-1] > 1e-12:
+            dedup.append(t)
+    return dedup

@@ -1,0 +1,292 @@
+"""End-to-end solvers: exact wave fans and the numerical projection path.
+
+The exact route builds the convex envelope between the Riemann states and
+samples the resulting fan; the numerical route seeds the jump, flows it,
+interpolates with area-preserving segments and projects the overturned
+curve. Both produce a SolutionProfile with identical structure so the
+convergence harness can difference shock positions directly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import envelope as env_mod
+from .characteristics import InitialData, Piece, flow, seed_riemann, seed_smooth
+from .envelope import ConvexEnvelope, Rarefaction, Shock, WaveFan, build_envelope, envelope_to_wavefan
+from .errors import DegenerateStates, FanOverlap
+from .flux import FluxFunction
+from .projection import ProjectedFront, geap_project, interpolate_chain
+
+__all__ = [
+    "ShockInfo",
+    "SolutionProfile",
+    "solve_riemann_exact",
+    "solve_riemann_numerical",
+    "solve_piecewise",
+]
+
+
+@dataclass(frozen=True)
+class ShockInfo:
+    x_s: float
+    u_top: float
+    u_bot: float
+    speed: float
+
+
+@dataclass
+class SolutionProfile:
+    """Sampled solution at one time plus its discontinuity table."""
+
+    t: float
+    xs: np.ndarray
+    us: np.ndarray
+    shocks: list[ShockInfo]
+    waves: list[str] = field(default_factory=list)  # "S"/"R" left to right
+    meta: dict = field(default_factory=dict)
+
+
+def _invert_fprime_monotone(flux: FluxFunction, targets: np.ndarray,
+                            u_a: float, u_b: float) -> np.ndarray:
+    """Solve F'(u) = target for u between u_a and u_b, vectorized bisection."""
+    lo = np.full_like(targets, min(u_a, u_b))
+    hi = np.full_like(targets, max(u_a, u_b))
+    f_lo = flux(lo, 1) - targets
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        f_mid = flux(mid, 1) - targets
+        same = (f_mid > 0) == (f_lo > 0)
+        lo = np.where(same, mid, lo)
+        f_lo = np.where(same, f_mid, f_lo)
+        hi = np.where(same, hi, mid)
+        if np.max(hi - lo) < 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _fan_speed_range(fan: WaveFan, flux: FluxFunction) -> tuple[float, float]:
+    speeds = [env_mod.wave_speed_range(w, flux) for w in fan.waves]
+    return min(s for s, _ in speeds), max(s for _, s in speeds)
+
+
+def sample_wavefan(fan: WaveFan, flux: FluxFunction, u_L: float,
+                   t: float, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the exact fan profile at the given positions."""
+    us = np.full_like(xs, u_L, dtype=float)
+    for wave in fan.waves:
+        if isinstance(wave, Shock):
+            pos = fan.x0 + wave.speed * t
+            us[xs >= pos] = wave.u_right
+        else:
+            lo_speed = float(flux(wave.u_left, 1))
+            hi_speed = float(flux(wave.u_right, 1))
+            a = fan.x0 + lo_speed * t
+            b = fan.x0 + hi_speed * t
+            inside = (xs >= a) & (xs <= b)
+            if np.any(inside):
+                us[inside] = _invert_fprime_monotone(
+                    flux, (xs[inside] - fan.x0) / t, wave.u_left, wave.u_right)
+            us[xs > b] = wave.u_right
+    return us
+
+
+def _fan_shocks(fan: WaveFan, t: float) -> list[ShockInfo]:
+    out = []
+    for wave in fan.waves:
+        if isinstance(wave, Shock):
+            out.append(ShockInfo(fan.x0 + wave.speed * t,
+                                 max(wave.u_left, wave.u_right),
+                                 min(wave.u_left, wave.u_right),
+                                 wave.speed))
+    return out
+
+
+def _fan_waves(fan: WaveFan) -> list[str]:
+    return ["S" if isinstance(w, Shock) else "R" for w in fan.waves]
+
+
+def _default_window(x0: float, smin: float, smax: float, t: float) -> tuple[float, float]:
+    return (x0 + smin * t - 1.0, x0 + smax * t + 1.0)
+
+
+def solve_riemann_exact(flux: FluxFunction, u_L: float, u_R: float, x0: float,
+                        t: float, window: tuple[float, float] | None = None,
+                        samples: int = 2001) -> SolutionProfile:
+    """Exact Riemann solution from the flux envelope between the states."""
+    if t <= 0.0:
+        raise ValueError("exact sampling needs t > 0")
+    env = build_envelope(flux, u_L, u_R)
+    fan = envelope_to_wavefan(env, flux, x0)
+    smin, smax = _fan_speed_range(fan, flux)
+    if window is None:
+        window = _default_window(x0, smin, smax, t)
+    xs = np.linspace(window[0], window[1], samples)
+    us = sample_wavefan(fan, flux, u_L, t, xs)
+    return SolutionProfile(t, xs, us, _fan_shocks(fan, t), _fan_waves(fan),
+                           meta={"x0": x0, "u_L": u_L, "u_R": u_R,
+                                 "window": window, "envelope": env, "fan": fan})
+
+
+def _front_pieces(front: ProjectedFront):
+    """Kept spans as (s_a, s_b, x_a, x_b) in ascending x."""
+    chain = front.chain
+    return [(a, b, chain.x_at(a), chain.x_at(b)) for a, b in front.kept_spans]
+
+
+def sample_front(front: ProjectedFront, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the projected front at the given positions."""
+    chain = front.chain
+    us = np.full_like(xs, chain.left_state, dtype=float)
+    us[xs > front.left_cut_x] = np.nan
+    pieces = _front_pieces(front)
+    for sa, sb, xa, xb in pieces:
+        mask = (xs >= xa - 1e-12) & (xs <= xb + 1e-12) & np.isnan(us)
+        if not np.any(mask):
+            continue
+        us[mask] = _invert_chain_span(chain, sa, sb, xs[mask])
+    # remaining gaps: constant states between pieces resolve by nearest
+    # piece boundary; anything right of the last cut is the right state
+    us[np.isnan(us) & (xs >= front.right_cut_x)] = chain.right_state
+    if np.any(np.isnan(us)):
+        # between-piece plateaus (only when fans detach): fill from the left
+        idx = np.flatnonzero(np.isnan(us))
+        for i in idx:
+            us[i] = us[i - 1] if i > 0 else chain.left_state
+    return us
+
+
+def _invert_chain_span(chain, sa: float, sb: float, xq: np.ndarray) -> np.ndarray:
+    """Invert x(s) on a fold-free span, vectorized bisection in s."""
+    lo = np.full_like(xq, sa)
+    hi = np.full_like(xq, sb)
+    increasing = chain.x_at(sb) >= chain.x_at(sa)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        x_mid = np.array([chain.x_at(float(s)) for s in mid])
+        go_right = (x_mid < xq) if increasing else (x_mid > xq)
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+        if np.max(hi - lo) < 1e-14:
+            break
+    s_fin = 0.5 * (lo + hi)
+    return np.array([chain.u_at(float(s)) for s in s_fin])
+
+
+def solve_riemann_numerical(flux: FluxFunction, u_L: float, u_R: float, x0: float,
+                            t: float, n: int, window: tuple[float, float] | None = None,
+                            samples: int = 2001) -> SolutionProfile:
+    """Riemann solution via flow, interpolation and equal-area projection.
+
+    ``n`` is the number of front nodes (n - 1 interpolants).
+    """
+    if n < 8:
+        raise ValueError("need at least eight front nodes")
+    if t <= 0.0:
+        raise ValueError("the numerical front needs t > 0")
+    nodes = flow(seed_riemann(u_L, u_R, x0, n), flux, t)
+    chain = interpolate_chain(nodes, flux)
+    front = geap_project(chain)
+    shocks = [ShockInfo(s.x_s, s.u_top, s.u_bot, (s.x_s - x0) / t)
+              for s in front.shocks]
+
+    if window is None:
+        xs_all = [nd.x for nd in chain.nodes] + [front.left_cut_x, front.right_cut_x]
+        window = (min(xs_all) - 1.0, max(xs_all) + 1.0)
+    xs = np.linspace(window[0], window[1], samples)
+    us = sample_front(front, xs)
+
+    waves: list[str] = []
+    events: list[tuple[float, str]] = []
+    uscale = 1e-8 * (1.0 + abs(u_L) + abs(u_R))
+    for rec in front.shocks:
+        events.append((rec.x_s, "S"))
+    for sa, sb in front.kept_spans:
+        if abs(chain.u_at(sb) - chain.u_at(sa)) > uscale:
+            events.append((0.5 * (chain.x_at(sa) + chain.x_at(sb)), "R"))
+    waves = [kind for _, kind in sorted(events)]
+
+    return SolutionProfile(t, xs, us, shocks, waves,
+                           meta={"x0": x0, "u_L": u_L, "u_R": u_R, "n": n,
+                                 "window": window, "front": front})
+
+
+def solve_piecewise(flux: FluxFunction, init: InitialData, t: float,
+                    n_per_piece: int, window: tuple[float, float] | None = None,
+                    samples: int = 2001, exact: bool = False) -> SolutionProfile:
+    """Piecewise-constant or smooth initial data, one fan per feature.
+
+    Each jump gets the Riemann machinery; each non-constant smooth piece
+    gets the flow/projection machinery. Fans must not collide: the check
+    rejects configurations where a shock from one feature would cross a
+    shock from the next by time t (grazing rarefaction tails perturb only
+    vanishing neighbourhoods of the profile and are tolerated).
+    """
+    fans: list[SolutionProfile] = []
+    for x0, u_left, u_right in init.jumps:
+        if exact:
+            fans.append(solve_riemann_exact(flux, u_left, u_right, x0, t))
+        else:
+            fans.append(solve_riemann_numerical(flux, u_left, u_right, x0, t, n_per_piece))
+    for piece in init.pieces:
+        if piece.kind != "constant":
+            nodes = flow(seed_smooth(piece, n_per_piece), flux, t)
+            chain = interpolate_chain(nodes, flux)
+            front = geap_project(chain)
+            shocks = [ShockInfo(s.x_s, s.u_top, s.u_bot, float("nan")) for s in front.shocks]
+            prof = SolutionProfile(t, np.empty(0), np.empty(0), shocks,
+                                   meta={"front": front, "x0": piece.x_lo})
+            fans.append(prof)
+
+    fans.sort(key=lambda p: p.meta["x0"])
+    for left, right in zip(fans[:-1], fans[1:]):
+        if left.shocks and right.shocks:
+            if max(s.x_s for s in left.shocks) > min(s.x_s for s in right.shocks):
+                raise FanOverlap("shock fronts from adjacent features collide "
+                                 f"by t={t}")
+
+    extents = [_fan_extent_and_states(p, flux, t) for p in fans]
+    if window is None:
+        window = (min(e[0] for e in extents) - 1.0, max(e[1] for e in extents) + 1.0)
+    xs = np.linspace(window[0], window[1], samples)
+    us = np.empty_like(xs)
+    us[:] = np.nan
+    # later (rightward) fans overwrite: where fans graze, the right shock
+    # structure takes precedence over a rarefaction tail
+    for prof, (lo_x, hi_x, _, _) in zip(fans, extents):
+        front = prof.meta.get("front")
+        span_mask = (xs >= lo_x) & (xs <= hi_x)
+        if front is not None:
+            us[span_mask] = sample_front(front, xs[span_mask])
+        else:
+            fan: WaveFan = prof.meta["fan"]
+            us[span_mask] = sample_wavefan(fan, flux, prof.meta["u_L"], t,
+                                           xs[span_mask])
+    # constant plateaus outside and between the fans
+    still = np.isnan(us)
+    us[still & (xs < extents[0][0])] = extents[0][2]
+    for (_, hi_x, _, u_right), (lo_next, _, _, _) in zip(extents[:-1], extents[1:]):
+        us[still & (xs > hi_x) & (xs < lo_next)] = u_right
+    us[still & (xs > extents[-1][1])] = extents[-1][3]
+    if np.any(np.isnan(us)):
+        for i in np.flatnonzero(np.isnan(us)):
+            us[i] = us[i - 1] if i > 0 else extents[0][2]
+
+    shocks = sorted((s for p in fans for s in p.shocks), key=lambda s: s.x_s)
+    waves = [w for p in fans for w in p.waves]
+    return SolutionProfile(t, xs, us, shocks, waves,
+                           meta={"window": window, "fans": fans})
+
+
+def _fan_extent_and_states(prof: SolutionProfile, flux: FluxFunction, t: float):
+    """(x_lo, x_hi, left state, right state) of one fan."""
+    front = prof.meta.get("front")
+    if front is not None:
+        return (front.left_cut_x, front.right_cut_x,
+                front.chain.left_state, front.chain.right_state)
+    fan: WaveFan = prof.meta["fan"]
+    smin, smax = _fan_speed_range(fan, flux)
+    return (prof.meta["x0"] + smin * t, prof.meta["x0"] + smax * t,
+            prof.meta["u_L"], prof.meta["u_R"])
