@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateSegment, ParameterOutOfRange
 
 __all__ = [
     "BezierSegment",
     "construct_area_preserving",
+    "bernstein",
+    "bernstein_derivative",
+    "gauss_area",
     "segment_area",
     "evaluate",
     "intersect_vertical",
@@ -95,32 +96,50 @@ def construct_area_preserving(p0, p1, tan0, tan1, target_area: float) -> BezierS
     return BezierSegment(p0, c1, c2, p1, r1, r2, fallback)
 
 
-def _coords(seg):
-    return (np.array([seg.a[0], seg.c1[0], seg.c2[0], seg.d[0]]),
-            np.array([seg.a[1], seg.c1[1], seg.c2[1], seg.d[1]]))
+def bernstein(p0, p1, p2, p3, t):
+    """Cubic in Bernstein form with control values p0..p3.
+
+    Control values and t may be floats or broadcastable numpy arrays; every
+    element goes through the same operations in the same order, so the
+    array form matches the scalar form bit for bit.
+    """
+    s = 1.0 - t
+    return (s * s * s * p0 + 3.0 * s * s * t * p1
+            + 3.0 * s * t * t * p2 + t * t * t * p3)
+
+
+def bernstein_derivative(p0, p1, p2, p3, t):
+    """Derivative in t of ``bernstein``; floats or arrays alike."""
+    s = 1.0 - t
+    return 3.0 * (s * s * (p1 - p0) + 2.0 * s * t * (p2 - p1) + t * t * (p3 - p2))
+
+
+def gauss_area(xc, yc, t0, t1):
+    """Signed parametric area int_{t0}^{t1} y x' dt of one cubic.
+
+    ``xc`` and ``yc`` hold the four x and y control values (floats, or
+    arrays for many segments at once). The integrand has degree five, so
+    the mapped three-point Gauss-Legendre rule is exact on any sub-interval.
+    """
+    total = 0.0
+    for gt, gw in zip(_GAUSS3_T, _GAUSS3_W):
+        t = t0 + (t1 - t0) * gt
+        total += gw * bernstein(*yc, t) * bernstein_derivative(*xc, t)
+    return total * (t1 - t0)
+
+
+def _controls(seg: BezierSegment, k: int) -> tuple[float, float, float, float]:
+    return seg.a[k], seg.c1[k], seg.c2[k], seg.d[k]
 
 
 def point_at(seg: BezierSegment, t):
     """Bernstein evaluation of position; t may be scalar or array."""
-    s = 1.0 - t
-    b0 = s * s * s
-    b1 = 3.0 * s * s * t
-    b2 = 3.0 * s * t * t
-    b3 = t * t * t
-    x = b0 * seg.a[0] + b1 * seg.c1[0] + b2 * seg.c2[0] + b3 * seg.d[0]
-    y = b0 * seg.a[1] + b1 * seg.c1[1] + b2 * seg.c2[1] + b3 * seg.d[1]
-    return x, y
+    return bernstein(*_controls(seg, 0), t), bernstein(*_controls(seg, 1), t)
 
 
 def derivative_at(seg: BezierSegment, t):
-    s = 1.0 - t
-    dx = 3.0 * (s * s * (seg.c1[0] - seg.a[0])
-                + 2.0 * s * t * (seg.c2[0] - seg.c1[0])
-                + t * t * (seg.d[0] - seg.c2[0]))
-    dy = 3.0 * (s * s * (seg.c1[1] - seg.a[1])
-                + 2.0 * s * t * (seg.c2[1] - seg.c1[1])
-                + t * t * (seg.d[1] - seg.c2[1]))
-    return dx, dy
+    return (bernstein_derivative(*_controls(seg, 0), t),
+            bernstein_derivative(*_controls(seg, 1), t))
 
 
 def evaluate(seg: BezierSegment, t: float):
@@ -132,16 +151,8 @@ def evaluate(seg: BezierSegment, t: float):
 
 
 def segment_area(seg: BezierSegment) -> float:
-    """Signed parametric area under the segment, int B2 B1' dt.
-
-    The integrand has degree five, so three-point Gauss-Legendre is exact.
-    """
-    total = 0.0
-    for t, w in zip(_GAUSS3_T, _GAUSS3_W):
-        _, y = point_at(seg, t)
-        dx, _ = derivative_at(seg, t)
-        total += w * y * dx
-    return total
+    """Signed parametric area under the whole segment, int B2 B1' dt."""
+    return gauss_area(_controls(seg, 0), _controls(seg, 1), 0.0, 1.0)
 
 
 def split(seg: BezierSegment, t: float) -> tuple[BezierSegment, BezierSegment]:

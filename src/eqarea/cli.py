@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,8 +103,9 @@ def converge(example_id: int, ladder: list[int], t: float | None = None):
 
     Ladder entries count interpolants, following the doubling protocol; the
     numerical solve uses one more node than interpolants. The order column
-    stays empty whenever either error sits at roundoff (below 1e-12), as
-    happens for the standing-wave example at every resolution.
+    stays empty unless both errors are finite and above roundoff (1e-12):
+    the standing-wave example sits at roundoff at every resolution, and a
+    rung with the wrong wave count has an infinite error.
     """
     spec = EXAMPLES[example_id]
     if spec.kind != "riemann":
@@ -122,7 +124,7 @@ def converge(example_id: int, ladder: list[int], t: float | None = None):
         else:
             err = max(abs(a - b) for a, b in zip(got, exact))
         order = ""
-        if prev_err is not None and err > 1e-12 and prev_err > 1e-12:
+        if prev_err is not None and all(1e-12 < e < math.inf for e in (prev_err, err)):
             order = _fmt(np.log2(prev_err / err))
         rows.append((n, err, order))
         prev_err = err
@@ -189,6 +191,24 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
+def _finite_floats(text: str, flag: str, expected: str) -> list[float]:
+    """Comma-separated flag value as floats; NaN and infinities are rejected."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(expected.split(",")):
+        raise ParseError(f"bad {flag} value {text!r}; expected {expected}")
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"{flag} needs finite numbers, got {text!r}")
+    return values
+
+
+def _check_time(t: float | None) -> None:
+    if t is not None and not math.isfinite(t):
+        raise ParseError(f"--time needs a finite number, got {t}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eqarea", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -231,10 +251,10 @@ def _cmd_solve(args) -> int:
     if not flux_text or not riemann:
         raise _UsageError("solve needs --flux and --riemann (flags or config)")
     flux = parse_flux_spec(flux_text)
-    try:
-        x0, u_L, u_R = (float(v) for v in riemann.split(","))
-    except ValueError:
-        raise ParseError(f"bad --riemann value {riemann!r}; expected x0,uL,uR") from None
+    x0, u_L, u_R = _finite_floats(riemann, "--riemann", "x0,uL,uR")
+    _check_time(args.time)
+    if args.samples < 2:
+        raise ParseError(f"--samples must be at least 2, got {args.samples}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.exact:
@@ -254,10 +274,7 @@ def _cmd_envelope(args) -> int:
     if not flux_text or not states:
         raise _UsageError("envelope needs --flux and --states (flags or config)")
     flux = parse_flux_spec(flux_text)
-    try:
-        u_L, u_R = (float(v) for v in states.split(","))
-    except ValueError:
-        raise ParseError(f"bad --states value {states!r}; expected uL,uR") from None
+    u_L, u_R = _finite_floats(states, "--states", "uL,uR")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_envelope_csv(out / "envelope.csv", [build_envelope(flux, u_L, u_R)])
@@ -269,6 +286,7 @@ def _cmd_envelope(args) -> int:
 def _cmd_converge(args) -> int:
     if args.example not in EXAMPLES:
         raise _UsageError(f"unknown example id {args.example}")
+    _check_time(args.time)
     rows = converge(args.example, parse_ladder(args.ladder), args.time)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,6 +298,7 @@ def _cmd_converge(args) -> int:
 def _cmd_example(args) -> int:
     if args.id not in EXAMPLES:
         raise _UsageError(f"unknown example id {args.id}")
+    _check_time(args.time)
     run_example(args.id, args.time, args.nodes, Path(args.out))
     return 0
 

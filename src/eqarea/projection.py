@@ -17,6 +17,7 @@ envelope.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -68,6 +69,12 @@ class CharChain:
     exact chain areas between any two node parameters, and partial segment
     areas are exact three-point Gauss integrals, so no accuracy is lost
     when a query lands inside a segment.
+
+    The control points are stored once as ``(4, m)`` arrays, row k holding
+    control point k of every segment. ``x_at``, ``u_at``, ``locate`` and
+    ``area_between`` take one parameter and stay on Python floats; their
+    ``*_many`` forms take arrays of parameters and return the same values
+    bit for bit.
     """
 
     def __init__(self, flux: FluxFunction, nodes: list[CharNode],
@@ -77,24 +84,39 @@ class CharChain:
         self.segments = segments
         self.t = nodes[0].t
         self.node_s = np.array([nd.s for nd in nodes])
-        areas = np.array([bezier.segment_area(seg) for seg in segments])
+        x_rows = [bezier._controls(seg, 0) for seg in segments]
+        u_rows = [bezier._controls(seg, 1) for seg in segments]
+        self.ctrl_x = np.array(x_rows).T
+        self.ctrl_u = np.array(u_rows).T
+        areas = bezier.gauss_area(self.ctrl_x, self.ctrl_u, 0.0, 1.0)
         self.seg_prefix = np.concatenate(([0.0], np.cumsum(areas)))
         self.left_state = nodes[0].u
         self.right_state = nodes[-1].u
         self.x_left_end = nodes[0].x
         self.x_right_end = nodes[-1].x
-        xs = np.array([[seg.a[0], seg.c1[0], seg.c2[0], seg.d[0]] for seg in segments])
-        self.seg_xmin = xs.min(axis=1)
-        self.seg_xmax = xs.max(axis=1)
+        self.seg_xmin = self.ctrl_x.min(axis=0)
+        self.seg_xmax = self.ctrl_x.max(axis=0)
+        # Python-float copies: the one-parameter queries stay off numpy scalars
+        self._x_rows, self._u_rows = x_rows, u_rows
+        self._s_list = self.node_s.tolist()
+        self._prefix_list = self.seg_prefix.tolist()
 
     # -- parameter bookkeeping -------------------------------------------
 
     def locate(self, s: float) -> tuple[int, float]:
         """Segment index and local Bezier parameter for chain parameter s."""
-        s = min(max(s, self.node_s[0]), self.node_s[-1])
-        i = int(np.searchsorted(self.node_s, s, side="right")) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        s0, s1 = self.node_s[i], self.node_s[i + 1]
+        ns = self._s_list
+        s = min(max(float(s), ns[0]), ns[-1])
+        i = min(max(bisect.bisect_right(ns, s) - 1, 0), len(ns) - 2)
+        s0, s1 = ns[i], ns[i + 1]
+        return i, (s - s0) / (s1 - s0)
+
+    def locate_many(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``locate`` over an array of chain parameters."""
+        ns = self.node_s
+        s = np.minimum(np.maximum(s, ns[0]), ns[-1])
+        i = np.clip(np.searchsorted(ns, s, side="right") - 1, 0, len(ns) - 2)
+        s0, s1 = ns[i], ns[i + 1]
         return i, (s - s0) / (s1 - s0)
 
     def param(self, i: int, t_loc: float) -> float:
@@ -103,24 +125,24 @@ class CharChain:
 
     def x_at(self, s: float) -> float:
         i, t = self.locate(s)
-        return float(bezier.point_at(self.segments[i], t)[0])
+        return bezier.bernstein(*self._x_rows[i], t)
 
     def u_at(self, s: float) -> float:
         i, t = self.locate(s)
-        return float(bezier.point_at(self.segments[i], t)[1])
+        return bezier.bernstein(*self._u_rows[i], t)
+
+    def x_at_many(self, s: np.ndarray) -> np.ndarray:
+        i, t = self.locate_many(s)
+        return bezier.bernstein(*self.ctrl_x[:, i], t)
+
+    def u_at_many(self, s: np.ndarray) -> np.ndarray:
+        i, t = self.locate_many(s)
+        return bezier.bernstein(*self.ctrl_u[:, i], t)
 
     # -- exact areas ------------------------------------------------------
 
     def _partial_area(self, i: int, t0: float, t1: float) -> float:
-        # degree-5 integrand, so the mapped 3-point Gauss rule stays exact
-        seg = self.segments[i]
-        total = 0.0
-        for gt, gw in zip(bezier._GAUSS3_T, bezier._GAUSS3_W):
-            t = t0 + (t1 - t0) * gt
-            _, y = bezier.point_at(seg, t)
-            dx, _ = bezier.derivative_at(seg, t)
-            total += gw * y * dx
-        return total * (t1 - t0)
+        return bezier.gauss_area(self._x_rows[i], self._u_rows[i], t0, t1)
 
     def area_between(self, sa: float, sb: float) -> float:
         """Signed parametric area of the chain between two parameters."""
@@ -131,9 +153,23 @@ class CharChain:
         if ia == ib:
             return self._partial_area(ia, ta, tb)
         total = self._partial_area(ia, ta, 1.0)
-        total += self.seg_prefix[ib] - self.seg_prefix[ia + 1]
+        total += self._prefix_list[ib] - self._prefix_list[ia + 1]
         total += self._partial_area(ib, 0.0, tb)
         return total
+
+    def area_between_many(self, sa, sb) -> np.ndarray:
+        """``area_between`` over broadcast arrays of parameter pairs."""
+        sa, sb = np.broadcast_arrays(np.asarray(sa, dtype=float), np.asarray(sb, dtype=float))
+        flip = sb < sa
+        ia, ta = self.locate_many(np.where(flip, sb, sa))
+        ib, tb = self.locate_many(np.where(flip, sa, sb))
+        cx_a, cu_a = self.ctrl_x[:, ia], self.ctrl_u[:, ia]
+        cx_b, cu_b = self.ctrl_x[:, ib], self.ctrl_u[:, ib]
+        across = bezier.gauss_area(cx_a, cu_a, ta, 1.0)
+        across += self.seg_prefix[ib] - self.seg_prefix[ia + 1]
+        across += bezier.gauss_area(cx_b, cu_b, 0.0, tb)
+        total = np.where(ia == ib, bezier.gauss_area(cx_a, cu_a, ta, tb), across)
+        return np.where(flip, -total, total)
 
     def total_area(self) -> float:
         return float(self.seg_prefix[-1])
@@ -313,21 +349,31 @@ def _refine(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def _attach_residual(chain: CharChain, side: str):
-    """Equal-area residual for shocks attaching to one constant state."""
+    """Equal-area residual for shocks attaching to one constant state.
+
+    Returns the residual of one parameter and its form over an array of
+    parameters, which gives the same values.
+    """
     lo, hi = chain.node_s[0], chain.node_s[-1]
     if side == "right":
         def rho(s: float) -> float:
             return chain.area_between(s, hi) + _flank_leg_right(chain, chain.x_at(s))
+
+        def rho_many(s: np.ndarray) -> np.ndarray:
+            return chain.area_between_many(s, hi) + _flank_leg_right(chain, chain.x_at_many(s))
     else:
         def rho(s: float) -> float:
             return chain.area_between(lo, s) + _flank_leg_left(chain, chain.x_at(s))
-    return rho
+
+        def rho_many(s: np.ndarray) -> np.ndarray:
+            return chain.area_between_many(lo, s) + _flank_leg_left(chain, chain.x_at_many(s))
+    return rho, rho_many
 
 
 def _attach_roots(chain: CharChain, side: str, s_lo: float, s_hi: float) -> list[float]:
-    rho = _attach_residual(chain, side)
+    rho, rho_many = _attach_residual(chain, side)
     pts = _scan_points(chain, s_lo, s_hi)
-    vals = np.array([rho(float(s)) for s in pts])
+    vals = rho_many(pts)
     roots = []
     for k in range(len(pts) - 1):
         fa, fb = vals[k], vals[k + 1]

@@ -136,6 +136,19 @@ def _front_pieces(front: ProjectedFront):
     return [(a, b, chain.x_at(a), chain.x_at(b)) for a, b in front.kept_spans]
 
 
+def _fill_forward(us: np.ndarray, first: float) -> np.ndarray:
+    """Fill every NaN of ``us`` in place with the nearest value on its left.
+
+    A gap at the start takes ``first``. Same values as filling index by
+    index, ``us[i] = us[i - 1]``, from left to right.
+    """
+    gaps = np.isnan(us)
+    if np.any(gaps):
+        last = np.maximum.accumulate(np.where(gaps, -1, np.arange(us.size)))[gaps]
+        us[gaps] = np.where(last >= 0, us[np.maximum(last, 0)], first)
+    return us
+
+
 def sample_front(front: ProjectedFront, xs: np.ndarray) -> np.ndarray:
     """Evaluate the projected front at the given positions."""
     chain = front.chain
@@ -150,12 +163,8 @@ def sample_front(front: ProjectedFront, xs: np.ndarray) -> np.ndarray:
     # remaining gaps: constant states between pieces resolve by nearest
     # piece boundary; anything right of the last cut is the right state
     us[np.isnan(us) & (xs >= front.right_cut_x)] = chain.right_state
-    if np.any(np.isnan(us)):
-        # between-piece plateaus (only when fans detach): fill from the left
-        idx = np.flatnonzero(np.isnan(us))
-        for i in idx:
-            us[i] = us[i - 1] if i > 0 else chain.left_state
-    return us
+    # between-piece plateaus (only when fans detach): fill from the left
+    return _fill_forward(us, chain.left_state)
 
 
 def _invert_chain_span(chain, sa: float, sb: float, xq: np.ndarray) -> np.ndarray:
@@ -165,14 +174,13 @@ def _invert_chain_span(chain, sa: float, sb: float, xq: np.ndarray) -> np.ndarra
     increasing = chain.x_at(sb) >= chain.x_at(sa)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        x_mid = np.array([chain.x_at(float(s)) for s in mid])
+        x_mid = chain.x_at_many(mid)
         go_right = (x_mid < xq) if increasing else (x_mid > xq)
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
         if np.max(hi - lo) < 1e-14:
             break
-    s_fin = 0.5 * (lo + hi)
-    return np.array([chain.u_at(float(s)) for s in s_fin])
+    return chain.u_at_many(0.5 * (lo + hi))
 
 
 def solve_riemann_numerical(flux: FluxFunction, u_L: float, u_R: float, x0: float,
@@ -270,9 +278,7 @@ def solve_piecewise(flux: FluxFunction, init: InitialData, t: float,
     for (_, hi_x, _, u_right), (lo_next, _, _, _) in zip(extents[:-1], extents[1:]):
         us[still & (xs > hi_x) & (xs < lo_next)] = u_right
     us[still & (xs > extents[-1][1])] = extents[-1][3]
-    if np.any(np.isnan(us)):
-        for i in np.flatnonzero(np.isnan(us)):
-            us[i] = us[i - 1] if i > 0 else extents[0][2]
+    _fill_forward(us, extents[0][2])
 
     shocks = sorted((s for p in fans for s in p.shocks), key=lambda s: s.x_s)
     waves = [w for p in fans for w in p.waves]

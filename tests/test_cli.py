@@ -135,3 +135,48 @@ def test_parse_ladder():
 def test_ladder_strictly_increasing():
     ladder = parse_ladder("10x2^5")
     assert np.all(np.diff(ladder) > 0)
+
+
+def test_converge_order_empty_around_wrong_wave_count(monkeypatch):
+    # a rung with an extra shock has err = inf; neither it nor the next
+    # rung may print an order computed from that infinity
+    import eqarea.cli as cli
+
+    solve = cli.solve_riemann_numerical
+
+    def extra_shock_at_21(flux, u_L, u_R, x0, t, n, **kw):
+        prof = solve(flux, u_L, u_R, x0, t, n, **kw)
+        if n == 21:
+            prof.shocks.append(prof.shocks[0])
+        return prof
+
+    monkeypatch.setattr(cli, "solve_riemann_numerical", extra_shock_at_21)
+    rows = cli.converge(1, parse_ladder("10x2^3"))
+    assert [n for n, _, _ in rows] == [10, 20, 40, 80]
+    assert rows[1][1] == float("inf")
+    assert rows[1][2] == "" and rows[2][2] == ""
+    assert rows[3][2] != "" and np.isfinite(float(rows[3][2]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--flux=polynomial:[0,0,4,-4,1]", "--riemann=0,nan,1"],
+    ["solve", "--flux=polynomial:[0,0,4,-4,1]", "--riemann=0,2,inf"],
+    ["solve", "--flux=polynomial:[0,0,4,-4,1]", "--riemann=0,2,0", "--time=nan"],
+    ["envelope", "--flux=polynomial:[0,0,4,-4,1]", "--states=inf,0"],
+], ids=["riemann-nan", "riemann-inf", "time-nan", "states-inf"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + [f"--out={out}"]) == 1
+    flag = next(a for a in argv if "nan" in a or "inf" in a).split("=")[0]
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--samples=0"], ["--samples=1"], ["--exact", "--samples=-3"]],
+                         ids=["numerical-0", "numerical-1", "exact-negative"])
+def test_samples_below_two_rejected(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    argv = ["solve", "--flux=polynomial:[0,0,4,-4,1]", "--riemann=0,2,0", f"--out={out}"]
+    assert main(argv + extra) == 1
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
