@@ -123,9 +123,8 @@ def corrupted_node_areas(amplitude=5.0):
     """Add amplitude * h^4 * sin(3 s) to every front node's cumulative area."""
     def bad_flow(nodes, flux, t):
         out = flow(nodes, flux, t)
-        h = 1.0 / (sum(not nd.witness for nd in out) - 1)
-        return [nd if nd.witness else
-                replace(nd, cum_area=nd.cum_area + amplitude * h**4 * math.sin(3.0 * nd.s))
+        h = 1.0 / (len(out) - 1)
+        return [replace(nd, cum_area=nd.cum_area + amplitude * h**4 * math.sin(3.0 * nd.s))
                 for nd in out]
     saved = solver.flow
     solver.flow = bad_flow

@@ -16,8 +16,6 @@ from .errors import (
     EqAreaError,
     FanOverlap,
     InvalidOrder,
-    NoIntersection,
-    ParameterOutOfRange,
     ParseError,
     ProjectionFailure,
     QuadratureFailure,

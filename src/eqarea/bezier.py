@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSegment, ParameterOutOfRange
+from .errors import DegenerateSegment
 
 __all__ = [
     "BezierSegment",
@@ -28,9 +28,7 @@ __all__ = [
     "bernstein_derivative",
     "gauss_area",
     "segment_area",
-    "evaluate",
     "intersect_vertical",
-    "split",
 ]
 
 _GAUSS3_T = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
@@ -142,35 +140,9 @@ def derivative_at(seg: BezierSegment, t):
             bernstein_derivative(*_controls(seg, 1), t))
 
 
-def evaluate(seg: BezierSegment, t: float):
-    """Position and first derivative at parameter t in [0, 1]."""
-    if t < -1e-12 or t > 1.0 + 1e-12:
-        raise ParameterOutOfRange(f"t = {t} outside [0, 1]")
-    t = min(max(t, 0.0), 1.0)
-    return point_at(seg, t), derivative_at(seg, t)
-
-
 def segment_area(seg: BezierSegment) -> float:
     """Signed parametric area under the whole segment, int B2 B1' dt."""
     return gauss_area(_controls(seg, 0), _controls(seg, 1), 0.0, 1.0)
-
-
-def split(seg: BezierSegment, t: float) -> tuple[BezierSegment, BezierSegment]:
-    """De Casteljau subdivision at parameter t."""
-    a, c1, c2, d = seg.a, seg.c1, seg.c2, seg.d
-
-    def lerp(p, q):
-        return (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t)
-
-    p01 = lerp(a, c1)
-    p12 = lerp(c1, c2)
-    p23 = lerp(c2, d)
-    p012 = lerp(p01, p12)
-    p123 = lerp(p12, p23)
-    mid = lerp(p012, p123)
-    left = BezierSegment(a, p01, p012, mid, seg.r1 * t, seg.r2 * t, seg.fallback)
-    right = BezierSegment(mid, p123, p23, d, seg.r1 * (1 - t), seg.r2 * (1 - t), seg.fallback)
-    return left, right
 
 
 def _quadratic_roots(b, c, d):

@@ -8,7 +8,6 @@ area is a boundary term, so the integral of g is computed once at seeding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -24,8 +23,6 @@ __all__ = [
     "seed_riemann",
     "seed_smooth",
     "flow",
-    "parametric_area",
-    "detect_overturn",
 ]
 
 
@@ -34,10 +31,9 @@ class CharNode:
     """One sample of the (possibly flowed) initial curve.
 
     s is the curve parameter: the jump-front fraction in [0, 1] for Riemann
-    seeds, the seed position x0 for smooth data samples, and values outside
-    [0, 1] for the constant-state flank witnesses. Seed quantities (x0 and
-    the t = 0 tangent) stay on the node so the flow map is always evaluated
-    from time zero.
+    seeds and the seed position x0 for smooth data samples. Seed quantities
+    (x0 and the t = 0 tangent) stay on the node so the flow map is always
+    evaluated from time zero.
     """
 
     s: float
@@ -46,15 +42,9 @@ class CharNode:
     tx0: float  # d x / d s at t = 0
     tu: float   # d u / d s (time-invariant)
     base_area: float  # integral of g ds from the chain start, t-independent
-    t: float = 0.0
     x: float = 0.0
     tx: float = 0.0
     cum_area: float = 0.0
-    witness: bool = False  # flank marker, not part of the interpolated chain
-
-    @property
-    def tangent(self) -> tuple[float, float]:
-        return (self.tx, self.tu)
 
 
 def _phi(flux: FluxFunction, u: float) -> float:
@@ -156,38 +146,32 @@ def _adapt(f, a, b, whole, tol, depth):
             + _adapt(f, mid, b, right, half_tol, depth - 1))
 
 
-def seed_riemann(u_L: float, u_R: float, x0: float, n: int, flank: float = 1.0) -> list[CharNode]:
-    """Nodes for a Riemann jump front, plus one flank witness per side.
+def seed_riemann(u_L: float, u_R: float, x0: float, n: int) -> list[CharNode]:
+    """Nodes for a Riemann jump front.
 
     The front is parametrized by s in [0, 1] with u(s) = u_R s + (1 - s) u_L
-    at x = x0; the witnesses sit one flank length into each constant state.
-    Front cumulative areas omit the (zero) vertical-line integral, so they
-    are pure boundary terms once the front is flowed.
+    at x = x0. Front cumulative areas omit the (zero) vertical-line
+    integral, so they are pure boundary terms once the front is flowed.
     """
     if n < 2:
         raise ValueError("need at least two front nodes")
     if u_L == u_R:
         raise DegenerateStates("equal states leave nothing to parametrize")
     du = u_R - u_L
-    nodes = [CharNode(s=-flank, u=u_L, x0=x0 - flank, tx0=1.0, tu=0.0,
-                      base_area=0.0, x=x0 - flank, tx=1.0, witness=True)]
+    nodes = []
     for i in range(n):
         s = i / (n - 1)
         nodes.append(CharNode(s=s, u=u_L + du * s, x0=x0, tx0=0.0, tu=du,
                               base_area=0.0, x=x0, tx=0.0))
-    nodes.append(CharNode(s=1.0 + flank, u=u_R, x0=x0 + flank, tx0=1.0, tu=0.0,
-                          base_area=0.0, x=x0 + flank, tx=1.0, witness=True))
     return nodes
 
 
-def seed_smooth(piece: Piece, n: int, flank: float = 1.0) -> list[CharNode]:
+def seed_smooth(piece: Piece, n: int) -> list[CharNode]:
     """Uniform seeding of one smooth piece; s is the seed position itself."""
     if n < 2:
         raise ValueError("need at least two nodes")
     xs = np.linspace(piece.x_lo, piece.x_hi, n)
-    nodes = [CharNode(s=piece.x_lo - flank, u=float(piece.g(piece.x_lo)), x0=piece.x_lo - flank,
-                      tx0=1.0, tu=0.0, base_area=0.0, x=piece.x_lo - flank, tx=1.0,
-                      witness=True)]
+    nodes = []
     base = 0.0
     prev = float(xs[0])
     for i, xi in enumerate(xs):
@@ -198,9 +182,6 @@ def seed_smooth(piece: Piece, n: int, flank: float = 1.0) -> list[CharNode]:
                               tu=float(piece.g1(xi)), base_area=base, x=xi,
                               tx=1.0, cum_area=base))
         prev = xi
-    nodes.append(CharNode(s=piece.x_hi + flank, u=float(piece.g(piece.x_hi)), x0=piece.x_hi + flank,
-                          tx0=1.0, tu=0.0, base_area=0.0, x=piece.x_hi + flank, tx=1.0,
-                          witness=True))
     return nodes
 
 
@@ -215,44 +196,12 @@ def flow(nodes: list[CharNode], flux: FluxFunction, t: float) -> list[CharNode]:
         raise ValueError("flow runs forward in time only")
     if not nodes:
         return []
-    ref = next((nd for nd in nodes if not nd.witness), nodes[0])
-    phi0 = _phi(flux, ref.u)
+    phi0 = _phi(flux, nodes[0].u)
     out = []
     for nd in nodes:
         fp = float(flux(nd.u, 1))
         fpp = float(flux(nd.u, 2))
-        out.append(replace(nd, t=t,
-                           x=nd.x0 + fp * t,
+        out.append(replace(nd, x=nd.x0 + fp * t,
                            tx=nd.tx0 + t * fpp * nd.tu,
                            cum_area=nd.base_area + t * (_phi(flux, nd.u) - phi0)))
     return out
-
-
-def parametric_area(flux: FluxFunction, piece: Piece, s0: float, s1: float, t: float) -> float:
-    """Parametric area of a flowed smooth piece between seed positions.
-
-    Integral of g plus t times the boundary-term difference: no quadrature
-    is rerun when t changes.
-    """
-    base = piece.integral(s0, s1)
-    return base + t * (_phi(flux, float(piece.g(s1))) - _phi(flux, float(piece.g(s0))))
-
-
-def detect_overturn(nodes: list[CharNode]) -> list[tuple[int, int]]:
-    """Maximal runs of nodes whose horizontal tangent is negative.
-
-    Returns inclusive index intervals; an empty list means the flowed curve
-    is still a graph over x.
-    """
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, nd in enumerate(nodes):
-        if nd.tx < 0.0:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(nodes) - 1))
-    return runs

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .characteristics import InitialData
-from .envelope import Arc, ConvexEnvelope, Secant, build_envelope, oracle_envelope
+from .envelope import ConvexEnvelope, Secant, build_envelope, oracle_envelope
 from .errors import EqAreaError, ParseError
 from .flux import FluxFunction, parse_flux_spec
 from .solver import SolutionProfile, solve_piecewise, solve_riemann_exact, solve_riemann_numerical

@@ -36,7 +36,6 @@ __all__ = [
     "build_envelope",
     "oracle_envelope",
     "envelope_to_wavefan",
-    "envelope_value",
 ]
 
 
@@ -128,11 +127,7 @@ def _invert_fprime(flux, m, branch):
     a, b = branch
     fa = flux(a, 1) - m
     fb = flux(b, 1) - m
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
+    if fa != 0.0 and fb != 0.0 and (fa > 0.0) == (fb > 0.0):
         # m fell just outside the branch range through roundoff
         return a if abs(fa) < abs(fb) else b
     return bisect(lambda u: flux(u, 1) - m, a, b, fa, fb)
@@ -183,14 +178,9 @@ def double_tangent(flux: FluxFunction, interval) -> list[Bitangent]:
             ma, mb = m_lo + eps, m_hi - eps
             ga = g_of(ma)[2]
             gb = g_of(mb)[2]
-            if ga == 0.0:
-                m_root = ma
-            elif gb == 0.0:
-                m_root = mb
-            elif (ga > 0.0) != (gb > 0.0):
-                m_root = bisect(lambda m: g_of(m)[2], ma, mb, ga, gb)
-            else:
+            if ga != 0.0 and gb != 0.0 and (ga > 0.0) == (gb > 0.0):
                 continue
+            m_root = bisect(lambda m: g_of(m)[2], ma, mb, ga, gb)
             a, b, res = g_of(m_root)
             if b - a > 1e-10 * width and abs(res) <= 1e-12 * fscale * max(1.0, b - a):
                 found.append(Bitangent(a, b, m_root))
@@ -280,6 +270,7 @@ def build_envelope(flux: FluxFunction, u_L: float, u_R: float) -> ConvexEnvelope
     """
     if u_L == u_R:
         raise DegenerateStates("u_L and u_R coincide")
+    flux.check_no_pole(u_L, u_R)
     lo, hi = min(u_L, u_R), max(u_L, u_R)
     if u_R < u_L:
         return ConvexEnvelope("upper", lo, hi, tuple(_upper_hull_segments(flux, lo, hi)))
@@ -425,6 +416,7 @@ def oracle_envelope(flux: FluxFunction, u_L: float, u_R: float, n: int) -> Conve
         raise ValueError("oracle_envelope needs n >= 64 samples")
     if u_L == u_R:
         raise DegenerateStates("u_L and u_R coincide")
+    flux.check_no_pole(u_L, u_R)
     lo, hi = min(u_L, u_R), max(u_L, u_R)
     side = "upper" if u_R < u_L else "lower"
 
@@ -467,21 +459,6 @@ def oracle_envelope(flux: FluxFunction, u_L: float, u_R: float, n: int) -> Conve
         else:
             segments.append(Arc(a, b))
     return ConvexEnvelope(side, lo, hi, tuple(segments))
-
-
-def envelope_value(env: ConvexEnvelope, flux: FluxFunction, u):
-    """Evaluate the envelope at u (scalar or array)."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    for seg in env.segments:
-        mask = (u >= seg.u_a) & (u <= seg.u_b)
-        if not np.any(mask):
-            continue
-        if isinstance(seg, Secant):
-            out[mask] = flux(seg.u_a) + seg.slope * (u[mask] - seg.u_a)
-        else:
-            out[mask] = flux(u[mask])
-    return out if out.ndim else float(out)
 
 
 def envelope_to_wavefan(env: ConvexEnvelope, flux: FluxFunction, x0: float) -> WaveFan:

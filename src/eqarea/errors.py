@@ -50,14 +50,6 @@ class DegenerateSegment(EqAreaError):
     """Interpolation data has zero horizontal extent (vertical jump)."""
 
 
-class ParameterOutOfRange(EqAreaError):
-    """Curve parameter outside [0, 1]."""
-
-
-class NoIntersection(EqAreaError):
-    """A span endpoint does not lie on the requested vertical line."""
-
-
 class ProjectionFailure(EqAreaError):
     """Equal-area projection could not separate or resolve shocks."""
 

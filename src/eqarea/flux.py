@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidOrder, ParseError, UnknownNamedFlux
+from .rootfind import bisect
 
 __all__ = [
     "FluxFunction",
@@ -157,6 +158,30 @@ class FluxFunction:
 
     def __call__(self, u, order: int = 0):
         return self.evaluate(u, order)
+
+    def check_no_pole(self, u_a: float, u_b: float) -> None:
+        """Raise DomainError if Q has a root of any order between the states.
+
+        Q is monotone between its critical points, so it vanishes on the
+        interval exactly when it changes sign between, or falls below the
+        vanishing tolerance at, the interval ends or the roots of Q and Q'.
+        """
+        if self._den is None:
+            return
+        q = self._den
+        lo, hi = min(u_a, u_b), max(u_a, u_b)
+        roots = np.concatenate((np.roots(q[::-1]), np.roots(_polyder(q)[::-1])))
+        pts = sorted({lo, hi, *(min(max(float(r.real), lo), hi) for r in roots)})
+        vals = [_polyval(q, u) for u in pts]
+        tol = _DENOM_TOL * self._den_scale
+        pole = next((u for u, v in zip(pts, vals) if abs(v) <= tol), None)
+        if pole is None:
+            pole = next((bisect(lambda u: _polyval(q, u), a, b, va, vb)
+                         for a, b, va, vb in zip(pts[:-1], pts[1:], vals[:-1], vals[1:])
+                         if (va > 0.0) != (vb > 0.0)), None)
+        if pole is not None:
+            raise DomainError(f"flux denominator vanishes at u = {pole:.12g}, "
+                              f"inside the state interval [{lo:.12g}, {hi:.12g}]")
 
     def __neg__(self) -> "FluxFunction":
         base = _lower_named(self.spec) if isinstance(self.spec, NamedSpec) else self.spec

@@ -23,19 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bezier
+from . import bezier, rootfind
 from .bezier import BezierSegment
 from .characteristics import CharNode
-from .errors import NoIntersection, ProjectionFailure
-from .flux import FluxFunction
+from .errors import ProjectionFailure
 
 __all__ = [
     "CharChain",
     "ShockRecord",
-    "ShockCandidate",
     "ProjectedFront",
     "interpolate_chain",
-    "lobe_area",
     "find_shocks_to_state",
     "geap_project",
 ]
@@ -48,17 +45,7 @@ class ShockRecord:
     x_s: float
     u_top: float
     u_bot: float
-    t_splits: tuple[tuple[int, float], ...]  # (segment index, local parameter) cuts
-    s_span: tuple[float, float]              # replaced chain-parameter interval
-
-
-@dataclass(frozen=True)
-class ShockCandidate:
-    kind: str          # "interior" | "full"
-    s: float | None    # chain parameter of the connecting point (None for full)
-    x_s: float
-    u_top: float
-    u_bot: float
+    s_span: tuple[float, float]  # replaced chain-parameter interval
 
 
 class CharChain:
@@ -77,12 +64,9 @@ class CharChain:
     bit for bit.
     """
 
-    def __init__(self, flux: FluxFunction, nodes: list[CharNode],
-                 segments: list[BezierSegment]):
-        self.flux = flux
+    def __init__(self, nodes: list[CharNode], segments: list[BezierSegment]):
         self.nodes = nodes
         self.segments = segments
-        self.t = nodes[0].t
         self.node_s = np.array([nd.s for nd in nodes])
         x_rows = [bezier._controls(seg, 0) for seg in segments]
         u_rows = [bezier._controls(seg, 1) for seg in segments]
@@ -250,8 +234,8 @@ def _build_segment(a: CharNode, b: CharNode, graph_form: bool) -> BezierSegment:
         b.cum_area - a.cum_area)
 
 
-def interpolate_chain(nodes: list[CharNode], flux: FluxFunction) -> CharChain:
-    """Build the Bezier chain over the non-witness nodes.
+def interpolate_chain(nodes: list[CharNode]) -> CharChain:
+    """Build the Bezier chain over the flowed nodes.
 
     Shallow segments (endpoint slopes within the cap) interpolate in graph
     form with r1 equal to the horizontal extent; steep and fold-straddling
@@ -260,11 +244,10 @@ def interpolate_chain(nodes: list[CharNode], flux: FluxFunction) -> CharChain:
     solve degenerates is rebuilt the second way so the per-segment area
     constraint survives at coarse node counts.
     """
-    front = [nd for nd in nodes if not nd.witness]
-    if len(front) < 2:
+    if len(nodes) < 2:
         raise ValueError("need at least two chain nodes")
     segments = []
-    for a, b in zip(front[:-1], front[1:]):
+    for a, b in zip(nodes[:-1], nodes[1:]):
         shallow = (a.tx != 0.0 and b.tx != 0.0
                    and abs(a.tu) <= _SLOPE_CAP * abs(a.tx)
                    and abs(b.tu) <= _SLOPE_CAP * abs(b.tx))
@@ -274,9 +257,9 @@ def interpolate_chain(nodes: list[CharNode], flux: FluxFunction) -> CharChain:
             if not retry.fallback:
                 seg = retry
         segments.append(seg)
-    chain = CharChain(flux, front, segments)
+    chain = CharChain(nodes, segments)
     total = chain.total_area()
-    want = front[-1].cum_area - front[0].cum_area
+    want = nodes[-1].cum_area - nodes[0].cum_area
     if abs(total - want) > 1e-11 * max(1.0, abs(want)):
         raise ProjectionFailure(
             f"segment areas drifted from node areas: {total} vs {want}")
@@ -291,31 +274,6 @@ def _flank_leg_right(chain: CharChain, x_s: float) -> float:
     return chain.right_state * (x_s - chain.x_right_end)
 
 
-def lobe_area(chain: CharChain, x_s: float, span: tuple[float, float]) -> float:
-    """Signed area of the loop closed by the vertical line at x_s.
-
-    The loop follows the chain across ``span`` (ascending parameter) and
-    closes along the line; a span endpoint at a chain end contributes its
-    constant-state flank run to the line foot. Endpoints must lie on the
-    line (or at a chain end), else NoIntersection is raised.
-    """
-    s0, s1 = span
-    lo, hi = chain.node_s[0], chain.node_s[-1]
-    scale = 1.0 + abs(x_s)
-    total = chain.area_between(s0, s1)
-    if abs(chain.x_at(s0) - x_s) > 1e-10 * scale:
-        if abs(s0 - lo) <= 1e-12:
-            total += _flank_leg_left(chain, x_s)
-        else:
-            raise NoIntersection(f"span start s={s0} not on the line x={x_s}")
-    if abs(chain.x_at(s1) - x_s) > 1e-10 * scale:
-        if abs(s1 - hi) <= 1e-12:
-            total += _flank_leg_right(chain, x_s)
-        else:
-            raise NoIntersection(f"span end s={s1} not on the line x={x_s}")
-    return total
-
-
 def _scan_points(chain: CharChain, s_lo: float, s_hi: float) -> np.ndarray:
     """Node parameters and segment midpoints covering (s_lo, s_hi)."""
     ns = chain.node_s
@@ -326,26 +284,6 @@ def _scan_points(chain: CharChain, s_lo: float, s_hi: float) -> np.ndarray:
     pts = np.unique(np.concatenate((ns, mids)))
     pts = pts[(pts > s_lo + eps) & (pts < s_hi - eps)]
     return np.concatenate(([s_lo + eps], pts, [s_hi - eps]))
-
-
-def _refine(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Bisection on the chain parameter to _REFINE_TOL width."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    for _ in range(120):
-        m = 0.5 * (a + b)
-        if b - a <= _REFINE_TOL:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
 
 
 def _attach_residual(chain: CharChain, side: str):
@@ -380,7 +318,8 @@ def _attach_roots(chain: CharChain, side: str, s_lo: float, s_hi: float) -> list
         if fa == 0.0:
             roots.append(float(pts[k]))
         elif fb != 0.0 and (fa > 0.0) != (fb > 0.0):
-            roots.append(_refine(rho, float(pts[k]), float(pts[k + 1]), float(fa), float(fb)))
+            roots.append(rootfind.bisect(rho, float(pts[k]), float(pts[k + 1]),
+                                         float(fa), float(fb), _REFINE_TOL))
     return roots
 
 
@@ -393,7 +332,7 @@ def _admissible_attach(chain: CharChain, side: str, s: float) -> bool:
     return x <= chain.x_left_end + tol
 
 
-def _full_shock_candidate(chain: CharChain) -> ShockCandidate | None:
+def _full_shock(chain: CharChain, lo: float, hi: float) -> ShockRecord | None:
     """Vertical line joining the two constant states with zero loop area."""
     u_l, u_r = chain.left_state, chain.right_state
     if u_l == u_r:
@@ -402,34 +341,32 @@ def _full_shock_candidate(chain: CharChain) -> ShockCandidate | None:
     tol = 1e-9 * (1.0 + abs(x_s) + abs(chain.x_left_end) + abs(chain.x_right_end))
     if x_s > chain.x_left_end + tol or x_s < chain.x_right_end - tol:
         return None
-    return ShockCandidate("full", None, x_s, max(u_l, u_r), min(u_l, u_r))
+    return ShockRecord(x_s, max(u_l, u_r), min(u_l, u_r), (lo, hi))
 
 
-def find_shocks_to_state(chain: CharChain, state: str) -> list[ShockCandidate]:
-    """All equal-area shock candidates attaching to one constant state.
+def find_shocks_to_state(chain: CharChain) -> list[ShockRecord]:
+    """All equal-area shocks attaching to the bottom constant state.
 
-    ``state`` is "bottom" (the smaller of the two flank values) or "top".
-    Interior candidates connect a chain point to the flank; the candidate
-    joining the two constant states outright is included when its line
-    reaches both flanks. Selection among candidates is the caller's job.
+    The bottom state is the smaller of the two flank values. Interior
+    shocks connect a chain point to its flank and replace the chain between
+    that point and the flank's end; the shock joining the two constant
+    states outright is included, with the whole chain as its span, when its
+    line reaches both flanks. Selection among them is the caller's job.
     """
-    if state not in ("bottom", "top"):
-        raise ValueError("state must be 'bottom' or 'top'")
     upper = chain.left_state > chain.right_state
-    want_low = state == "bottom"
     # bottom state sits on the right flank in the upper case
-    side = "right" if (upper == want_low) else "left"
-    flank_u = chain.right_state if side == "right" else chain.left_state
+    side = "right" if upper else "left"
+    flank_u = chain.right_state if upper else chain.left_state
 
-    lo, hi = chain.node_s[0], chain.node_s[-1]
-    out: list[ShockCandidate] = []
+    lo, hi = float(chain.node_s[0]), float(chain.node_s[-1])
+    out: list[ShockRecord] = []
     for s in _attach_roots(chain, side, lo, hi):
         if not _admissible_attach(chain, side, s):
             continue
         u = chain.u_at(s)
-        out.append(ShockCandidate("interior", s, chain.x_at(s),
-                                  max(u, flank_u), min(u, flank_u)))
-    full = _full_shock_candidate(chain)
+        out.append(ShockRecord(chain.x_at(s), max(u, flank_u), min(u, flank_u),
+                               (s, hi) if upper else (lo, s)))
+    full = _full_shock(chain, lo, hi)
     if full is not None:
         out.append(full)
     return out
@@ -501,7 +438,7 @@ def _interior_root_extremal(chain: CharChain, span: tuple[float, float],
                     def f(q, _br=branch):
                         r = residual(q, _br)
                         return math.inf if r is None else r
-                    root = _refine(f, a, b, va, vb)
+                    root = rootfind.bisect(f, a, b, va, vb, _REFINE_TOL)
                 if root is None:
                     continue
                 if best is None or (upper and root > best[0]) or (not upper and root < best[0]):
@@ -553,16 +490,6 @@ class ProjectedFront:
         return total
 
 
-def _make_record(chain: CharChain, x_s: float, s_span: tuple[float, float],
-                 u_top: float, u_bot: float) -> ShockRecord:
-    splits = []
-    for s in s_span:
-        if chain.node_s[0] <= s <= chain.node_s[-1]:
-            i, t = chain.locate(s)
-            splits.append((i, t))
-    return ShockRecord(x_s, u_top, u_bot, tuple(splits), s_span)
-
-
 def geap_project(chain: CharChain) -> ProjectedFront:
     """Resolve every overturned region of the chain into equal-area shocks.
 
@@ -584,18 +511,16 @@ def geap_project(chain: CharChain) -> ProjectedFront:
 
     shocks: list[ShockRecord] = []
     # Phase A: the shock attaching to the bottom constant state.
-    candidates = find_shocks_to_state(chain, "bottom")
+    candidates = find_shocks_to_state(chain)
     s_cur = hi if upper else lo
     if candidates:
-        def key(c: ShockCandidate):
-            return (c.x_s if upper else -c.x_s, c.u_top)
+        def key(rec: ShockRecord):
+            return (rec.x_s if upper else -rec.x_s, rec.u_top)
         best = max(candidates, key=key)
-        if best.kind == "full":
-            record = _make_record(chain, best.x_s, (lo, hi), best.u_top, best.u_bot)
-            return ProjectedFront(chain, mode, (record,), (), best.x_s, best.x_s)
-        s_cur = best.s
-        span = (s_cur, hi) if upper else (lo, s_cur)
-        shocks.append(_make_record(chain, best.x_s, span, best.u_top, best.u_bot))
+        if best.s_span == (lo, hi):
+            return ProjectedFront(chain, mode, (best,), (), best.x_s, best.x_s)
+        s_cur = best.s_span[0] if upper else best.s_span[1]
+        shocks.append(best)
 
     # Phase B: climb the remaining span.
     for _ in range(len(chain.nodes) + 1):
@@ -616,8 +541,7 @@ def geap_project(chain: CharChain) -> ProjectedFront:
             u = chain.u_at(s_top)
             top_u = chain.left_state if upper else chain.right_state
             span_rep = (lo, s_top) if upper else (s_top, hi)
-            shocks.append(_make_record(chain, x_s, span_rep,
-                                       max(u, top_u), min(u, top_u)))
+            shocks.append(ShockRecord(x_s, max(u, top_u), min(u, top_u), span_rep))
             s_cur = lo if upper else hi
             break
         if pair is None:
@@ -626,7 +550,7 @@ def geap_project(chain: CharChain) -> ProjectedFront:
         x_s = chain.x_at(s_hat)
         ua, ub = chain.u_at(s_hat), chain.u_at(s_partner)
         span_rep = (s_partner, s_hat) if upper else (s_hat, s_partner)
-        shocks.append(_make_record(chain, x_s, span_rep, max(ua, ub), min(ua, ub)))
+        shocks.append(ShockRecord(x_s, max(ua, ub), min(ua, ub), span_rep))
         s_cur = s_partner
     else:
         raise ProjectionFailure("shock resolution did not terminate")

@@ -1,9 +1,10 @@
-"""Scalar root location: uniform sign-change scans plus bisection refinement.
+"""Root location: uniform sign-change scans plus bisection refinement.
 
 Tangency-type residuals of smooth fluxes cross zero transversally at
 generic roots, so a dense scan followed by bisection is robust. Residuals
 that osculate zero without a sign change (double roots) are reported via
-BracketingFailure rather than guessed at.
+BracketingFailure rather than guessed at. ``bisect`` is the one scalar
+bisection and ``bisect_many`` its elementwise form over arrays of brackets.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ from .errors import BracketingFailure
 DEFAULT_CELLS = 2048
 
 
-def bisect(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
-    """Root of f in [a, b] by bisection, driven to interval width ~1 ulp."""
+def bisect(f, a: float, b: float, fa: float | None = None, fb: float | None = None,
+           tol: float = 0.0) -> float:
+    """Root of f in [a, b] by bisection.
+
+    Halves until the bracket is at most ``tol`` wide or its midpoint stops
+    moving; the default drives the bracket to ~1 ulp.
+    """
     if fa is None:
         fa = f(a)
     if fb is None:
@@ -29,7 +35,7 @@ def bisect(f, a: float, b: float, fa: float | None = None, fb: float | None = No
         raise BracketingFailure(f"no sign change on [{a}, {b}]")
     for _ in range(200):
         m = 0.5 * (a + b)
-        if m <= a or m >= b:
+        if b - a <= tol or m <= a or m >= b:
             break
         fm = f(m)
         if fm == 0.0:
@@ -41,12 +47,29 @@ def bisect(f, a: float, b: float, fa: float | None = None, fb: float | None = No
     return 0.5 * (a + b)
 
 
+def bisect_many(right_of, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Elementwise bisection of many brackets at once.
+
+    ``right_of(mid)`` is True where the root lies right of ``mid``. Every
+    bracket halves on each step until the widest is narrower than ``tol``;
+    the brackets' midpoints are returned.
+    """
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        right = right_of(mid)
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+        if np.max(hi - lo) < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def scan_roots(f, lo: float, hi: float, cells: int = DEFAULT_CELLS,
-               vectorized: bool = True, osculation_tol: float = 0.0) -> list[float]:
+               osculation_tol: float = 0.0) -> list[float]:
     """All transversal roots of f on (lo, hi), sorted ascending.
 
-    ``f`` is evaluated on a uniform grid of ``cells`` intervals (in one
-    vectorized call when possible), every sign-change cell is refined by
+    ``f`` is evaluated on a uniform grid of ``cells`` intervals in one
+    vectorized call, every sign-change cell is refined by
     bisection, and exact zeros at interior grid points are kept as roots.
 
     With ``osculation_tol > 0``, a strict interior local minimum of |f|
@@ -55,7 +78,7 @@ def scan_roots(f, lo: float, hi: float, cells: int = DEFAULT_CELLS,
     bracket.
     """
     xs = np.linspace(lo, hi, cells + 1)
-    fs = np.asarray(f(xs), dtype=float) if vectorized else np.array([f(x) for x in xs])
+    fs = np.asarray(f(xs), dtype=float)
     if not np.all(np.isfinite(fs)):
         raise BracketingFailure("residual is not finite on the scan grid")
 
@@ -68,11 +91,9 @@ def scan_roots(f, lo: float, hi: float, cells: int = DEFAULT_CELLS,
                 roots.append(xs[i])
             continue
         if fb == 0.0:
-            continue  # handled as the left endpoint of the next cell
+            continue  # the next cell's left endpoint, or hi: endpoints are the caller's
         if sign[i] != sign[i + 1]:
             roots.append(bisect(f, xs[i], xs[i + 1], fa, fb))
-    if fs[-1] == 0.0:
-        pass  # endpoint roots are the caller's business
 
     if osculation_tol > 0.0:
         for i in range(1, cells):

@@ -9,16 +9,18 @@ convergence harness can difference shock positions directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import envelope as env_mod
-from .characteristics import InitialData, Piece, flow, seed_riemann, seed_smooth
-from .envelope import ConvexEnvelope, Rarefaction, Shock, WaveFan, build_envelope, envelope_to_wavefan
-from .errors import DegenerateStates, FanOverlap
+from .characteristics import InitialData, flow, seed_riemann, seed_smooth
+from .envelope import Shock, WaveFan, build_envelope, envelope_to_wavefan
+from .errors import FanOverlap
 from .flux import FluxFunction
 from .projection import ProjectedFront, geap_project, interpolate_chain
+from .rootfind import bisect_many
 
 __all__ = [
     "ShockInfo",
@@ -45,8 +47,9 @@ class SolutionProfile:
     xs: np.ndarray
     us: np.ndarray
     shocks: list[ShockInfo]
-    waves: list[str] = field(default_factory=list)  # "S"/"R" left to right
-    meta: dict = field(default_factory=dict)
+    waves: list[str]  # "S"/"R" left to right
+    window: tuple[float, float]  # the sampled x interval
+    front: ProjectedFront | None = None  # numerical Riemann solves only
 
 
 def _invert_fprime_monotone(flux: FluxFunction, targets: np.ndarray,
@@ -54,17 +57,9 @@ def _invert_fprime_monotone(flux: FluxFunction, targets: np.ndarray,
     """Solve F'(u) = target for u between u_a and u_b, vectorized bisection."""
     lo = np.full_like(targets, min(u_a, u_b))
     hi = np.full_like(targets, max(u_a, u_b))
-    f_lo = flux(lo, 1) - targets
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        f_mid = flux(mid, 1) - targets
-        same = (f_mid > 0) == (f_lo > 0)
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
-        if np.max(hi - lo) < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    # the residual keeps its sign at every lower end, so one evaluation fixes it
+    lo_positive = flux(lo, 1) - targets > 0
+    return bisect_many(lambda mid: (flux(mid, 1) - targets > 0) == lo_positive, lo, hi, 1e-13)
 
 
 def _fan_speed_range(fan: WaveFan, flux: FluxFunction) -> tuple[float, float]:
@@ -108,32 +103,23 @@ def _fan_waves(fan: WaveFan) -> list[str]:
     return ["S" if isinstance(w, Shock) else "R" for w in fan.waves]
 
 
-def _default_window(x0: float, smin: float, smax: float, t: float) -> tuple[float, float]:
-    return (x0 + smin * t - 1.0, x0 + smax * t + 1.0)
+def _exact_fan(flux: FluxFunction, u_L: float, u_R: float, x0: float, t: float) -> WaveFan:
+    if t <= 0.0:
+        raise ValueError("exact sampling needs t > 0")
+    return envelope_to_wavefan(build_envelope(flux, u_L, u_R), flux, x0)
 
 
 def solve_riemann_exact(flux: FluxFunction, u_L: float, u_R: float, x0: float,
                         t: float, window: tuple[float, float] | None = None,
                         samples: int = 2001) -> SolutionProfile:
     """Exact Riemann solution from the flux envelope between the states."""
-    if t <= 0.0:
-        raise ValueError("exact sampling needs t > 0")
-    env = build_envelope(flux, u_L, u_R)
-    fan = envelope_to_wavefan(env, flux, x0)
+    fan = _exact_fan(flux, u_L, u_R, x0, t)
     smin, smax = _fan_speed_range(fan, flux)
     if window is None:
-        window = _default_window(x0, smin, smax, t)
+        window = (x0 + smin * t - 1.0, x0 + smax * t + 1.0)
     xs = np.linspace(window[0], window[1], samples)
     us = sample_wavefan(fan, flux, u_L, t, xs)
-    return SolutionProfile(t, xs, us, _fan_shocks(fan, t), _fan_waves(fan),
-                           meta={"x0": x0, "u_L": u_L, "u_R": u_R,
-                                 "window": window, "envelope": env, "fan": fan})
-
-
-def _front_pieces(front: ProjectedFront):
-    """Kept spans as (s_a, s_b, x_a, x_b) in ascending x."""
-    chain = front.chain
-    return [(a, b, chain.x_at(a), chain.x_at(b)) for a, b in front.kept_spans]
+    return SolutionProfile(t, xs, us, _fan_shocks(fan, t), _fan_waves(fan), window)
 
 
 def _fill_forward(us: np.ndarray, first: float) -> np.ndarray:
@@ -154,8 +140,8 @@ def sample_front(front: ProjectedFront, xs: np.ndarray) -> np.ndarray:
     chain = front.chain
     us = np.full_like(xs, chain.left_state, dtype=float)
     us[xs > front.left_cut_x] = np.nan
-    pieces = _front_pieces(front)
-    for sa, sb, xa, xb in pieces:
+    for sa, sb in front.kept_spans:  # ascending in x
+        xa, xb = chain.x_at(sa), chain.x_at(sb)
         mask = (xs >= xa - 1e-12) & (xs <= xb + 1e-12) & np.isnan(us)
         if not np.any(mask):
             continue
@@ -169,18 +155,38 @@ def sample_front(front: ProjectedFront, xs: np.ndarray) -> np.ndarray:
 
 def _invert_chain_span(chain, sa: float, sb: float, xq: np.ndarray) -> np.ndarray:
     """Invert x(s) on a fold-free span, vectorized bisection in s."""
-    lo = np.full_like(xq, sa)
-    hi = np.full_like(xq, sb)
     increasing = chain.x_at(sb) >= chain.x_at(sa)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
+
+    def right_of(mid):
         x_mid = chain.x_at_many(mid)
-        go_right = (x_mid < xq) if increasing else (x_mid > xq)
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-        if np.max(hi - lo) < 1e-14:
-            break
-    return chain.u_at_many(0.5 * (lo + hi))
+        return (x_mid < xq) if increasing else (x_mid > xq)
+
+    s = bisect_many(right_of, np.full_like(xq, sa), np.full_like(xq, sb), 1e-14)
+    return chain.u_at_many(s)
+
+
+def _riemann_front(flux: FluxFunction, u_L: float, u_R: float, x0: float,
+                   t: float, n: int) -> tuple[ProjectedFront, list[ShockInfo], list[str]]:
+    """Projected front of one jump, with its shock table and wave sequence."""
+    if n < 8:
+        raise ValueError("need at least eight front nodes")
+    if t <= 0.0:
+        raise ValueError("the numerical front needs t > 0")
+    flux.check_no_pole(u_L, u_R)
+    nodes = flow(seed_riemann(u_L, u_R, x0, n), flux, t)
+    front = geap_project(interpolate_chain(nodes))
+    chain = front.chain
+    shocks = [ShockInfo(s.x_s, s.u_top, s.u_bot, (s.x_s - x0) / t)
+              for s in front.shocks]
+
+    events: list[tuple[float, str]] = []
+    uscale = 1e-8 * (1.0 + abs(u_L) + abs(u_R))
+    for rec in front.shocks:
+        events.append((rec.x_s, "S"))
+    for sa, sb in front.kept_spans:
+        if abs(chain.u_at(sb) - chain.u_at(sa)) > uscale:
+            events.append((0.5 * (chain.x_at(sa) + chain.x_at(sb)), "R"))
+    return front, shocks, [kind for _, kind in sorted(events)]
 
 
 def solve_riemann_numerical(flux: FluxFunction, u_L: float, u_R: float, x0: float,
@@ -190,35 +196,19 @@ def solve_riemann_numerical(flux: FluxFunction, u_L: float, u_R: float, x0: floa
 
     ``n`` is the number of front nodes (n - 1 interpolants).
     """
-    if n < 8:
-        raise ValueError("need at least eight front nodes")
-    if t <= 0.0:
-        raise ValueError("the numerical front needs t > 0")
-    nodes = flow(seed_riemann(u_L, u_R, x0, n), flux, t)
-    chain = interpolate_chain(nodes, flux)
-    front = geap_project(chain)
-    shocks = [ShockInfo(s.x_s, s.u_top, s.u_bot, (s.x_s - x0) / t)
-              for s in front.shocks]
-
+    front, shocks, waves = _riemann_front(flux, u_L, u_R, x0, t, n)
     if window is None:
-        xs_all = [nd.x for nd in chain.nodes] + [front.left_cut_x, front.right_cut_x]
+        xs_all = [nd.x for nd in front.chain.nodes] + [front.left_cut_x, front.right_cut_x]
         window = (min(xs_all) - 1.0, max(xs_all) + 1.0)
     xs = np.linspace(window[0], window[1], samples)
     us = sample_front(front, xs)
+    return SolutionProfile(t, xs, us, shocks, waves, window, front)
 
-    waves: list[str] = []
-    events: list[tuple[float, str]] = []
-    uscale = 1e-8 * (1.0 + abs(u_L) + abs(u_R))
-    for rec in front.shocks:
-        events.append((rec.x_s, "S"))
-    for sa, sb in front.kept_spans:
-        if abs(chain.u_at(sb) - chain.u_at(sa)) > uscale:
-            events.append((0.5 * (chain.x_at(sa) + chain.x_at(sb)), "R"))
-    waves = [kind for _, kind in sorted(events)]
 
-    return SolutionProfile(t, xs, us, shocks, waves,
-                           meta={"x0": x0, "u_L": u_L, "u_R": u_R, "n": n,
-                                 "window": window, "front": front})
+def _front_extent(front: ProjectedFront) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, left state, right state) of a projected front."""
+    return (front.left_cut_x, front.right_cut_x,
+            front.chain.left_state, front.chain.right_state)
 
 
 def solve_piecewise(flux: FluxFunction, init: InitialData, t: float,
@@ -232,46 +222,43 @@ def solve_piecewise(flux: FluxFunction, init: InitialData, t: float,
     shock from the next by time t (grazing rarefaction tails perturb only
     vanishing neighbourhoods of the profile and are tolerated).
     """
-    fans: list[SolutionProfile] = []
+    # one entry per jump or smooth piece: (x0, shocks, waves, sampler, extent),
+    # extent being (x_lo, x_hi, left state, right state)
+    features = []
     for x0, u_left, u_right in init.jumps:
         if exact:
-            fans.append(solve_riemann_exact(flux, u_left, u_right, x0, t))
+            fan = _exact_fan(flux, u_left, u_right, x0, t)
+            smin, smax = _fan_speed_range(fan, flux)
+            features.append((x0, _fan_shocks(fan, t), _fan_waves(fan),
+                             partial(sample_wavefan, fan, flux, u_left, t),
+                             (x0 + smin * t, x0 + smax * t, u_left, u_right)))
         else:
-            fans.append(solve_riemann_numerical(flux, u_left, u_right, x0, t, n_per_piece))
+            front, shocks, waves = _riemann_front(flux, u_left, u_right, x0, t, n_per_piece)
+            features.append((x0, shocks, waves, partial(sample_front, front),
+                             _front_extent(front)))
     for piece in init.pieces:
         if piece.kind != "constant":
             nodes = flow(seed_smooth(piece, n_per_piece), flux, t)
-            chain = interpolate_chain(nodes, flux)
-            front = geap_project(chain)
+            front = geap_project(interpolate_chain(nodes))
             shocks = [ShockInfo(s.x_s, s.u_top, s.u_bot, float("nan")) for s in front.shocks]
-            prof = SolutionProfile(t, np.empty(0), np.empty(0), shocks,
-                                   meta={"front": front, "x0": piece.x_lo})
-            fans.append(prof)
+            features.append((piece.x_lo, shocks, [], partial(sample_front, front),
+                             _front_extent(front)))
 
-    fans.sort(key=lambda p: p.meta["x0"])
-    for left, right in zip(fans[:-1], fans[1:]):
-        if left.shocks and right.shocks:
-            if max(s.x_s for s in left.shocks) > min(s.x_s for s in right.shocks):
-                raise FanOverlap("shock fronts from adjacent features collide "
-                                 f"by t={t}")
+    features.sort(key=lambda f: f[0])
+    for (_, left, *_), (_, right, *_) in zip(features[:-1], features[1:]):
+        if left and right and max(s.x_s for s in left) > min(s.x_s for s in right):
+            raise FanOverlap(f"shock fronts from adjacent features collide by t={t}")
 
-    extents = [_fan_extent_and_states(p, flux, t) for p in fans]
+    extents = [extent for *_, extent in features]
     if window is None:
         window = (min(e[0] for e in extents) - 1.0, max(e[1] for e in extents) + 1.0)
     xs = np.linspace(window[0], window[1], samples)
-    us = np.empty_like(xs)
-    us[:] = np.nan
+    us = np.full_like(xs, np.nan)
     # later (rightward) fans overwrite: where fans graze, the right shock
     # structure takes precedence over a rarefaction tail
-    for prof, (lo_x, hi_x, _, _) in zip(fans, extents):
-        front = prof.meta.get("front")
+    for *_, sample, (lo_x, hi_x, _, _) in features:
         span_mask = (xs >= lo_x) & (xs <= hi_x)
-        if front is not None:
-            us[span_mask] = sample_front(front, xs[span_mask])
-        else:
-            fan: WaveFan = prof.meta["fan"]
-            us[span_mask] = sample_wavefan(fan, flux, prof.meta["u_L"], t,
-                                           xs[span_mask])
+        us[span_mask] = sample(xs[span_mask])
     # constant plateaus outside and between the fans
     still = np.isnan(us)
     us[still & (xs < extents[0][0])] = extents[0][2]
@@ -280,19 +267,6 @@ def solve_piecewise(flux: FluxFunction, init: InitialData, t: float,
     us[still & (xs > extents[-1][1])] = extents[-1][3]
     _fill_forward(us, extents[0][2])
 
-    shocks = sorted((s for p in fans for s in p.shocks), key=lambda s: s.x_s)
-    waves = [w for p in fans for w in p.waves]
-    return SolutionProfile(t, xs, us, shocks, waves,
-                           meta={"window": window, "fans": fans})
-
-
-def _fan_extent_and_states(prof: SolutionProfile, flux: FluxFunction, t: float):
-    """(x_lo, x_hi, left state, right state) of one fan."""
-    front = prof.meta.get("front")
-    if front is not None:
-        return (front.left_cut_x, front.right_cut_x,
-                front.chain.left_state, front.chain.right_state)
-    fan: WaveFan = prof.meta["fan"]
-    smin, smax = _fan_speed_range(fan, flux)
-    return (prof.meta["x0"] + smin * t, prof.meta["x0"] + smax * t,
-            prof.meta["u_L"], prof.meta["u_R"])
+    shocks = sorted((s for f in features for s in f[1]), key=lambda s: s.x_s)
+    waves = [w for f in features for w in f[2]]
+    return SolutionProfile(t, xs, us, shocks, waves, window)

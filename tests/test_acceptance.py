@@ -186,7 +186,7 @@ def test_criterion_8_conservation(fluxes):
              (fluxes[3], 0.0, 3.5), (fluxes[4], 1.0, 0.0)]
     worst_proj = 0.0
     for flux, u_L, u_R in cases:
-        chain = interpolate_chain(flow(seed_riemann(u_L, u_R, 0.0, 160), flux, 1.0), flux)
+        chain = interpolate_chain(flow(seed_riemann(u_L, u_R, 0.0, 160), flux, 1.0))
         front = geap_project(chain)
         window = (-6.0, 8.0)
         before = chain.window_area(*window)
@@ -201,8 +201,8 @@ def test_criterion_8_conservation(fluxes):
     for flux, u_L, u_R in cases:
         t = 1.0
         prof = solve_riemann_numerical(flux, u_L, u_R, 0.0, t, 160)
-        front = prof.meta["front"]
-        window = prof.meta["window"]
+        front = prof.front
+        window = prof.window
         mass = _piecewise_trapezoid_mass(lambda xs: sample_front(front, xs), window,
                                          [s.x_s for s in prof.shocks])
         mass0 = u_L * (0.0 - window[0]) + u_R * (window[1] - 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqarea import bezier
-from eqarea.errors import DegenerateSegment, ParameterOutOfRange
+from eqarea.errors import DegenerateSegment
 
 
 def _sin_segment(x0, x1):
@@ -18,8 +18,7 @@ def test_straight_line_reproduced():
     seg = bezier.construct_area_preserving((0, 0), (1, 1), (1, 1), (1, 1), 0.5)
     assert seg.r2 == pytest.approx(1.0, abs=0.0)
     assert bezier.segment_area(seg) == pytest.approx(0.5, abs=1e-15)
-    (x, y), _ = bezier.evaluate(seg, 0.5)
-    assert (x, y) == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert bezier.point_at(seg, 0.5) == pytest.approx((0.5, 0.5), abs=1e-15)
 
 
 def test_parabola_area_exact():
@@ -30,17 +29,11 @@ def test_parabola_area_exact():
 
 def test_endpoints_and_orientation():
     seg = _sin_segment(0.2, 0.9)
-    (p0, _), (p1, _) = bezier.evaluate(seg, 0.0), bezier.evaluate(seg, 1.0)
+    p0, p1 = bezier.point_at(seg, 0.0), bezier.point_at(seg, 1.0)
     assert p0 == pytest.approx((0.2, math.sin(0.2)), abs=1e-15)
     assert p1 == pytest.approx((0.9, math.sin(0.9)), abs=1e-15)
     reversed_seg = bezier.BezierSegment(seg.d, seg.c2, seg.c1, seg.a, seg.r2, seg.r1)
     assert bezier.segment_area(reversed_seg) == pytest.approx(-bezier.segment_area(seg), abs=1e-15)
-
-
-def test_parameter_out_of_range():
-    seg = _sin_segment(0.0, 1.0)
-    with pytest.raises(ParameterOutOfRange):
-        bezier.evaluate(seg, 1.5)
 
 
 def test_degenerate_vertical_data():
@@ -126,25 +119,9 @@ def test_fallback_still_interpolates():
     # keeps endpoints und tangency
     seg = bezier.construct_area_preserving((0, 0), (2, 2), (1, 1), (1, 1), 7.0)
     assert seg.fallback
-    (p, d), _ = bezier.evaluate(seg, 0.0), None
+    p, d = bezier.point_at(seg, 0.0), bezier.derivative_at(seg, 0.0)
     assert p == (0.0, 0.0)
     assert d[0] == pytest.approx(d[1], abs=1e-15)
-
-
-def test_split_preserves_area():
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        pts = rng.normal(size=8)
-        seg = bezier.BezierSegment(tuple(pts[0:2]), tuple(pts[2:4]), tuple(pts[4:6]),
-                                   tuple(pts[6:8]), 1.0, 1.0)
-        t = rng.uniform(0.05, 0.95)
-        left, right = bezier.split(seg, t)
-        total = bezier.segment_area(left) + bezier.segment_area(right)
-        whole = bezier.segment_area(seg)
-        assert total == pytest.approx(whole, abs=1e-13 * (1 + abs(whole)))
-        (pl, _) = bezier.evaluate(left, 1.0)
-        (pr, _) = bezier.evaluate(right, 0.0)
-        assert pl == pytest.approx(pr, abs=0.0)
 
 
 class TestIntersectVertical:

@@ -132,7 +132,7 @@ def example_fronts(example_id, n):
     else:
         x0, x1, u_in, u_out = spec.params
         jumps = [(x0, u_out, u_in), (x1, u_in, u_out)]
-    return [geap_project(interpolate_chain(flow(seed_riemann(u_l, u_r, x, n), flux, spec.time), flux))
+    return [geap_project(interpolate_chain(flow(seed_riemann(u_l, u_r, x, n), flux, spec.time)))
             for x, u_l, u_r in jumps]
 
 

@@ -180,3 +180,16 @@ def test_samples_below_two_rejected(tmp_path, capsys, extra):
     assert main(argv + extra) == 1
     assert "--samples" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flux", ["rational:[1]/[0,1]", "rational:[1]/[-0.3,1]",
+                                  "rational:[1]/[0.09,-0.6,1]"])
+@pytest.mark.parametrize("argv", [["solve", "--riemann=0,-1,1"],
+                                  ["solve", "--riemann=0,-1,1", "--exact"],
+                                  ["envelope", "--states=-1,1"]],
+                         ids=["numerical", "exact", "envelope"])
+def test_pole_inside_states_is_domain_failure(tmp_path, capsys, flux, argv):
+    assert main(argv + [f"--flux={flux}", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert "denominator vanishes at u = " in err and "[-1, 1]" in err
+    assert not list(tmp_path.iterdir())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqarea.envelope import Arc, build_envelope, oracle_envelope
 from eqarea.errors import DomainError, InvalidOrder, ParseError, UnknownNamedFlux
 from eqarea.flux import (
     NamedSpec,
@@ -11,6 +12,7 @@ from eqarea.flux import (
     polynomial_flux,
     rational_flux,
 )
+from eqarea.solver import solve_riemann_exact, solve_riemann_numerical
 
 
 def test_example1_flux_values(flux_e1):
@@ -112,3 +114,41 @@ class TestParse:
     def test_nonpositive_m_rejected(self):
         with pytest.raises(ParseError):
             parse_flux_spec("named:buckley-leverett{M:-1}")
+
+
+# a simple pole at 0, a simple pole at 0.3 and a double pole at 0.3
+POLE_FLUXES = {"simple-0": ("rational:[1]/[0,1]", "u = 0,"),
+               "simple-0.3": ("rational:[1]/[-0.3,1]", "u = 0.3,"),
+               "double-0.3": ("rational:[1]/[0.09,-0.6,1]", "u = 0.3,")}
+POLE_PATHS = {
+    "numerical": lambda f: solve_riemann_numerical(f, -1.0, 1.0, 0.0, 1.0, 40, samples=9),
+    "exact": lambda f: solve_riemann_exact(f, -1.0, 1.0, 0.0, 1.0, samples=9),
+    "envelope": lambda f: build_envelope(f, 1.0, -1.0),
+    "oracle": lambda f: oracle_envelope(f, -1.0, 1.0, 1000),
+}
+
+
+@pytest.mark.parametrize("path", POLE_PATHS)
+@pytest.mark.parametrize("name", POLE_FLUXES)
+def test_pole_inside_state_interval_rejected(name, path):
+    text, root = POLE_FLUXES[name]
+    with pytest.raises(DomainError) as info:
+        POLE_PATHS[path](parse_flux_spec(text))
+    assert root in str(info.value) and "[-1, 1]" in str(info.value)
+
+
+def test_pole_outside_state_interval_solves():
+    # 1/(u - 0.3)^2 is convex on [0.5, 1]: a single rarefaction both ways
+    flux = parse_flux_spec("rational:[1]/[0.09,-0.6,1]")
+    flux.check_no_pole(0.5, 1.0)
+    flux.check_no_pole(1.0, 0.31)
+    numerical = solve_riemann_numerical(flux, 0.5, 1.0, 0.0, 1.0, 40)
+    exact = solve_riemann_exact(flux, 0.5, 1.0, 0.0, 1.0)
+    assert numerical.waves == exact.waves == ["R"]
+    assert [type(s) for s in oracle_envelope(flux, 0.5, 1.0, 1000).segments] == [Arc]
+    assert np.max(np.abs(np.interp(exact.xs, numerical.xs, numerical.us) - exact.us)) < 1e-3
+
+
+def test_pole_check_ignores_polynomials_and_complex_roots(flux_e1, flux_bl):
+    flux_e1.check_no_pole(-10.0, 10.0)
+    flux_bl.check_no_pole(0.0, 1.0)  # denominator roots are complex

@@ -4,17 +4,38 @@ import pytest
 from conftest import BL_SPEED, BL_USTAR, E1_SPEED, E1_USTAR, E3_A, E3_B, E3_SPEED
 from eqarea.characteristics import Piece, flow, seed_riemann, seed_smooth
 from eqarea.envelope import Secant, build_envelope
-from eqarea.errors import NoIntersection
-from eqarea.projection import (
-    find_shocks_to_state,
-    geap_project,
-    interpolate_chain,
-    lobe_area,
-)
+from eqarea.projection import find_shocks_to_state, geap_project, interpolate_chain
 
 
 def riemann_chain(flux, u_L, u_R, t, n, x0=0.0):
-    return interpolate_chain(flow(seed_riemann(u_L, u_R, x0, n), flux, t), flux)
+    return interpolate_chain(flow(seed_riemann(u_L, u_R, x0, n), flux, t))
+
+
+def lobe_area(chain, x_s, span):
+    """Oracle: signed area of the loop closed by the vertical line at x_s.
+
+    The loop follows the chain across ``span`` (ascending parameter) and
+    closes along the line; a span endpoint at a chain end contributes its
+    constant-state flank run to the line foot. Endpoints must lie on the
+    line or at a chain end.
+    """
+    s0, s1 = span
+    lo, hi = chain.node_s[0], chain.node_s[-1]
+    scale = 1.0 + abs(x_s)
+    total = chain.area_between(s0, s1)
+    if abs(chain.x_at(s0) - x_s) > 1e-10 * scale:
+        assert abs(s0 - lo) <= 1e-12, f"span start s={s0} not on the line x={x_s}"
+        total += chain.left_state * (chain.x_left_end - x_s)
+    if abs(chain.x_at(s1) - x_s) > 1e-10 * scale:
+        assert abs(s1 - hi) <= 1e-12, f"span end s={s1} not on the line x={x_s}"
+        total += chain.right_state * (x_s - chain.x_right_end)
+    return total
+
+
+def interior_shocks(chain):
+    """Bottom-state shocks that attach at a chain point, not the full-chain one."""
+    full = (chain.node_s[0], chain.node_s[-1])
+    return [rec for rec in find_shocks_to_state(chain) if rec.s_span != full]
 
 
 class TestChain:
@@ -47,9 +68,11 @@ class TestChain:
 class TestLobeArea:
     def test_zero_at_equal_area_shock(self, flux_e1):
         chain = riemann_chain(flux_e1, 2.0, 0.0, 1.0, 41)
-        cands = [c for c in find_shocks_to_state(chain, "bottom") if c.kind == "interior"]
+        cands = interior_shocks(chain)
         assert len(cands) == 1
-        s_star = cands[0].s
+        s_star, s_end = cands[0].s_span
+        assert s_end == 1.0
+        assert chain.x_at(s_star) == cands[0].x_s
         assert lobe_area(chain, chain.x_at(s_star), (s_star, 1.0)) == pytest.approx(0.0, abs=1e-11)
 
     def test_sign_flips_with_displacement(self, flux_e1):
@@ -61,18 +84,13 @@ class TestLobeArea:
             vals[dx] = lobe_area(chain, x_line, (hits[-2], 1.0))
         assert vals[+0.1] * vals[-0.1] < 0.0
 
-    def test_requires_endpoints_on_line(self, flux_e1):
-        chain = riemann_chain(flux_e1, 2.0, 0.0, 1.0, 41)
-        with pytest.raises(NoIntersection):
-            lobe_area(chain, 0.9, (0.4, 0.6))
-
     def test_symmetric_lobe_vanishes(self):
         # odd data under the convex flux u^2/2: the fold about x = 0 is symmetric
         from eqarea.flux import polynomial_flux
 
         burgers = polynomial_flux([0.0, 0.0, 0.5])
         piece = Piece(-4.0, 4.0, lambda x: -np.tanh(x), lambda x: -1.0 / np.cosh(x) ** 2)
-        chain = interpolate_chain(flow(seed_smooth(piece, 81), burgers, 3.0), burgers)
+        chain = interpolate_chain(flow(seed_smooth(piece, 81), burgers, 3.0))
         hits = chain.intersections(0.0)
         assert len(hits) == 3
         assert lobe_area(chain, 0.0, (hits[0], hits[-1])) == pytest.approx(0.0, abs=1e-12)
@@ -81,8 +99,7 @@ class TestLobeArea:
 class TestFindShocks:
     def test_example1_bottom(self, flux_e1):
         chain = riemann_chain(flux_e1, 2.0, 0.0, 1.0, 161)
-        cands = find_shocks_to_state(chain, "bottom")
-        interior = [c for c in cands if c.kind == "interior"]
+        interior = interior_shocks(chain)
         assert len(interior) == 1
         assert interior[0].x_s == pytest.approx(E1_SPEED, abs=1e-9)
         assert interior[0].u_top == pytest.approx(E1_USTAR, abs=1e-9)
@@ -90,13 +107,13 @@ class TestFindShocks:
 
     def test_example2_full_shock(self, flux_e1):
         chain = riemann_chain(flux_e1, 0.0, 2.0, 1.0, 41)
-        cands = find_shocks_to_state(chain, "bottom")
-        assert [c.kind for c in cands] == ["full"]
+        cands = find_shocks_to_state(chain)
+        assert [c.s_span for c in cands] == [(0.0, 1.0)]
         assert cands[0].x_s == pytest.approx(0.0, abs=1e-13)
 
     def test_buckley_bottom(self, flux_bl):
         chain = riemann_chain(flux_bl, 1.0, 0.0, 1.0, 41)
-        cands = [c for c in find_shocks_to_state(chain, "bottom") if c.kind == "interior"]
+        cands = interior_shocks(chain)
         assert len(cands) == 1
         assert cands[0].x_s == pytest.approx(BL_SPEED, abs=1e-7)
         assert cands[0].u_top == pytest.approx(BL_USTAR, abs=1e-7)
@@ -123,7 +140,7 @@ class TestProjection:
 
     def test_unoverturned_chain_identity(self, flux_square):
         piece = Piece(-4.0, 4.0, lambda x: -np.tanh(x), lambda x: -1.0 / np.cosh(x) ** 2)
-        chain = interpolate_chain(flow(seed_smooth(piece, 41), flux_square, 0.2), flux_square)
+        chain = interpolate_chain(flow(seed_smooth(piece, 41), flux_square, 0.2))
         front = geap_project(chain)
         assert front.shocks == ()
         assert front.kept_spans == ((chain.node_s[0], chain.node_s[-1]),)

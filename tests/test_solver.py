@@ -92,8 +92,8 @@ class TestNumerical:
         t = 1.0
         u_L, u_R = 2.0, 0.0
         prof = solve_riemann_numerical(flux_e1, u_L, u_R, 0.0, t, 161)
-        front = prof.meta["front"]
-        a, b = prof.meta["window"]
+        front = prof.front
+        a, b = prof.window
         mass_now = front.window_area(a, b)
         mass_start = u_L * (0.0 - a) + u_R * (b - 0.0)
         drift = mass_now - mass_start
@@ -114,6 +114,17 @@ class TestPiecewise:
         full_slope = flux_e3(5.0) / 5.0
         assert right[0].x_s == pytest.approx(5.0 + full_slope * 0.2, abs=1e-10)
         assert (right[0].u_bot, right[0].u_top) == (0.0, 5.0)
+
+    def test_box_exact_matches_numerical(self, flux_e3):
+        init = InitialData.box(0.0, 5.0, 5.0, 0.0)
+        exact = solve_piecewise(flux_e3, init, 0.2, 121, exact=True)
+        numerical = solve_piecewise(flux_e3, init, 0.2, 121)
+        assert exact.waves == numerical.waves == ["R", "S", "R", "S"]
+        assert [s.x_s for s in exact.shocks] == pytest.approx(
+            [s.x_s for s in numerical.shocks], abs=1e-9)
+        assert exact.window == numerical.window and exact.front is None
+        mismatch = np.abs(exact.us - numerical.us) > 1e-6
+        assert np.count_nonzero(mismatch) <= 2  # samples straddling a shock
 
     def test_single_jump_reduces_to_riemann(self, flux_e1):
         init = InitialData.riemann(0.0, 2.0, 0.0)
