@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateStates, EnvelopeFailure
 from .flux import FluxFunction
-from .rootfind import bisect, scan_roots
+from .rootfind import bisect
 
 __all__ = [
     "Secant",
@@ -30,7 +30,6 @@ __all__ = [
     "Shock",
     "Rarefaction",
     "WaveFan",
-    "tangency_roots",
     "double_tangent",
     "Bitangent",
     "build_envelope",
@@ -97,27 +96,9 @@ class Bitangent:
     slope: float
 
 
-def tangency_roots(flux: FluxFunction, anchor: float, interval) -> list[float]:
-    """Roots of F(u) - F(anchor) - F'(u)(u - anchor) strictly inside interval.
-
-    These are the candidate tangent points of secants drawn from the anchor
-    state; the caller applies the slope admissibility condition.
-    """
-    a, b = interval
-    f_anchor = flux(anchor)
-
-    def residual(u):
-        return flux(u) - f_anchor - flux(u, 1) * (u - anchor)
-
-    grid = np.linspace(a, b, 257)
-    scale = 1.0 + float(np.max(np.abs(residual(grid))))
-    return scan_roots(residual, a, b, osculation_tol=1e-13 * scale)
-
-
 def _fprime_branches(flux, lo, hi):
     """Maximal subintervals of [lo, hi] on which F' is monotone."""
-    infl = scan_roots(lambda u: flux(u, 2), lo, hi)
-    bounds = [lo] + infl + [hi]
+    bounds = [lo] + flux.inflections(lo, hi) + [hi]
     tiny = 1e-13 * max(1.0, hi - lo)
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > tiny]
 
@@ -189,11 +170,13 @@ def double_tangent(flux: FluxFunction, interval) -> list[Bitangent]:
     return found
 
 
-def _majorizes(flux, lo, hi, slope, offset, tol, n=4097):
-    """Does the line offset + slope*(u - lo) stay above F on [lo, hi]?"""
-    us = np.linspace(lo, hi, n)
-    line = offset + slope * (us - lo)
-    return bool(np.all(line >= flux(us) - tol))
+def _majorizes(flux, lo, hi, slope, offset, tol):
+    """Does the line offset + slope*(u - lo) stay above F on [lo, hi]?
+
+    F minus the line peaks at an end or where F' equals the slope.
+    """
+    us = np.array([lo, *flux.slope_points(slope, lo, hi), hi])
+    return bool(np.all(offset + slope * (us - lo) >= flux(us) - tol))
 
 
 def _upper_hull_segments(flux: FluxFunction, lo: float, hi: float) -> list[EnvelopeSegment]:
@@ -213,7 +196,7 @@ def _upper_hull_segments(flux: FluxFunction, lo: float, hi: float) -> list[Envel
 
     # First branch: steepest admissible tangent secant from the anchor.
     slope_lo = float(flux(lo, 1))
-    candidates = [u for u in tangency_roots(flux, lo, (lo, hi))
+    candidates = [u for u in flux.tangent_points(lo, lo, hi)
                   if float(flux(u, 1)) >= slope_lo - 1e-12 * (1.0 + abs(slope_lo))]
     cur = lo
     if candidates:
@@ -229,12 +212,7 @@ def _upper_hull_segments(flux: FluxFunction, lo: float, hi: float) -> list[Envel
     for _ in range(64):
         if hi - cur <= utiny:
             break
-
-        def end_residual(u):
-            # tangent line at u evaluated against the far endpoint
-            return f_hi - flux(u) - flux(u, 1) * (hi - u)
-
-        end_roots = scan_roots(end_residual, cur, hi)
+        end_roots = flux.tangent_points(hi, cur, hi)
         bits = [t for t in double_tangent(flux, (cur, hi)) if t.a > cur + utiny]
 
         u_end = end_roots[0] if end_roots else None

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidOrder, ParseError, UnknownNamedFlux
-from .rootfind import bisect
+from .rootfind import poly_roots
 
 __all__ = [
     "FluxFunction",
@@ -67,6 +67,16 @@ def _polysub(a, b):
 
 def _polyscale(a, s):
     return tuple(s * c for c in a)
+
+
+def _deflate(coeffs, a):
+    """Quotient of the polynomial by (u - a), remainder dropped."""
+    out = [0.0] * (len(coeffs) - 1)
+    acc = 0.0
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * a + coeffs[k]
+        out[k - 1] = acc
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -159,28 +169,43 @@ class FluxFunction:
     def __call__(self, u, order: int = 0):
         return self.evaluate(u, order)
 
+    def tangent_points(self, anchor: float, lo: float, hi: float) -> list[float]:
+        """Points u in (lo, hi) whose tangent line passes through (anchor, F(anchor)).
+
+        They are the roots of F(u) - F(a) - F'(u)(u - a) times Q^2, the
+        polynomial P Q - F(a) Q^2 - N1 (u - a), which has a double root at
+        the anchor a; that root is divided out before the roots are taken.
+        """
+        p, n1 = self._num[0], self._num[1]
+        q = self._den or (1.0,)
+        f_a = float(self.evaluate(anchor))
+        r = _polysub(_polysub(_polymul(p, q), _polyscale(_polymul(q, q), f_a)),
+                     _polymul(n1, (-anchor, 1.0)))
+        return poly_roots(_deflate(_deflate(r, anchor), anchor), lo, hi)
+
+    def slope_points(self, m: float, lo: float, hi: float) -> list[float]:
+        """Points u in (lo, hi) with F'(u) = m: the roots of N1 - m Q^2."""
+        q = self._den or (1.0,)
+        return poly_roots(_polysub(self._num[1], _polyscale(_polymul(q, q), m)), lo, hi)
+
+    def inflections(self, lo: float, hi: float) -> list[float]:
+        """Roots of F'' in (lo, hi): the roots of its numerator N2."""
+        return poly_roots(self._num[2], lo, hi)
+
     def check_no_pole(self, u_a: float, u_b: float) -> None:
         """Raise DomainError if Q has a root of any order between the states.
 
-        Q is monotone between its critical points, so it vanishes on the
-        interval exactly when it changes sign between, or falls below the
-        vanishing tolerance at, the interval ends or the roots of Q and Q'.
+        That is a root of Q inside the interval, or |Q| below the vanishing
+        tolerance at one of its ends.
         """
         if self._den is None:
             return
         q = self._den
         lo, hi = min(u_a, u_b), max(u_a, u_b)
-        roots = np.concatenate((np.roots(q[::-1]), np.roots(_polyder(q)[::-1])))
-        pts = sorted({lo, hi, *(min(max(float(r.real), lo), hi) for r in roots)})
-        vals = [_polyval(q, u) for u in pts]
         tol = _DENOM_TOL * self._den_scale
-        pole = next((u for u, v in zip(pts, vals) if abs(v) <= tol), None)
-        if pole is None:
-            pole = next((bisect(lambda u: _polyval(q, u), a, b, va, vb)
-                         for a, b, va, vb in zip(pts[:-1], pts[1:], vals[:-1], vals[1:])
-                         if (va > 0.0) != (vb > 0.0)), None)
-        if pole is not None:
-            raise DomainError(f"flux denominator vanishes at u = {pole:.12g}, "
+        poles = [u for u in (lo, hi) if abs(_polyval(q, u)) <= tol] + poly_roots(q, lo, hi)
+        if poles:
+            raise DomainError(f"flux denominator vanishes at u = {min(poles):.12g}, "
                               f"inside the state interval [{lo:.12g}, {hi:.12g}]")
 
     def __neg__(self) -> "FluxFunction":

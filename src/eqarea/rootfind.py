@@ -1,19 +1,19 @@
-"""Root location: uniform sign-change scans plus bisection refinement.
+"""Root location: bisection, and the real roots of a polynomial.
 
-Tangency-type residuals of smooth fluxes cross zero transversally at
-generic roots, so a dense scan followed by bisection is robust. Residuals
-that osculate zero without a sign change (double roots) are reported via
-BracketingFailure rather than guessed at. ``bisect`` is the one scalar
-bisection and ``bisect_many`` its elementwise form over arrays of brackets.
+``bisect`` is the one scalar bisection and ``bisect_many`` its elementwise
+form over arrays of brackets. ``poly_roots`` gives the real roots of a
+polynomial inside an open interval; every root the envelope and the pole
+check need is a root of a polynomial the flux holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import BracketingFailure
 
-DEFAULT_CELLS = 2048
+_EPS = float(np.finfo(float).eps)
 
 
 def bisect(f, a: float, b: float, fa: float | None = None, fb: float | None = None,
@@ -64,50 +64,46 @@ def bisect_many(right_of, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndar
     return 0.5 * (lo + hi)
 
 
-def scan_roots(f, lo: float, hi: float, cells: int = DEFAULT_CELLS,
-               osculation_tol: float = 0.0) -> list[float]:
-    """All transversal roots of f on (lo, hi), sorted ascending.
+def poly_roots(coeffs, lo: float, hi: float) -> list[float]:
+    """Real roots of sum c_k u^k strictly inside (lo, hi), ascending.
 
-    ``f`` is evaluated on a uniform grid of ``cells`` intervals in one
-    vectorized call, every sign-change cell is refined by
-    bisection, and exact zeros at interior grid points are kept as roots.
-
-    With ``osculation_tol > 0``, a strict interior local minimum of |f|
-    below the tolerance that does not produce a sign change raises
-    BracketingFailure: the scan has detected a (near-)double root it cannot
-    bracket.
+    ``coeffs`` run low to high degree. The candidates are the eigenvalues
+    of the companion matrix; each real part is polished by Newton steps on
+    the polynomial while they shrink its value, and is a root when the
+    polynomial there is within its rounding bound. So a double root, which
+    the eigenvalue solver may split into a near-real pair, counts once:
+    neighbours with the polynomial still within rounding between them
+    merge into their mean.
     """
-    xs = np.linspace(lo, hi, cells + 1)
-    fs = np.asarray(f(xs), dtype=float)
-    if not np.all(np.isfinite(fs)):
-        raise BracketingFailure("residual is not finite on the scan grid")
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if len(c) < 2:
+        return []
+    dc = P.polyder(c)
 
-    roots: list[float] = []
-    sign = np.sign(fs)
-    for i in range(cells):
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            if i > 0:
-                roots.append(xs[i])
+    def vanishes(x):  # within the rounding bound of Horner's rule at x
+        return abs(P.polyval(x, c)) <= 8.0 * len(c) * _EPS * P.polyval(abs(x), np.abs(c))
+
+    roots = []
+    for z in np.roots(c[::-1]):
+        if abs(z.imag) > 1e-5 * (1.0 + abs(z)):
             continue
-        if fb == 0.0:
-            continue  # the next cell's left endpoint, or hi: endpoints are the caller's
-        if sign[i] != sign[i + 1]:
-            roots.append(bisect(f, xs[i], xs[i + 1], fa, fb))
+        x, px = z.real, P.polyval(z.real, c)
+        for _ in range(8):
+            dpx = P.polyval(x, dc)
+            if px == 0.0 or dpx == 0.0:
+                break
+            x_new = x - px / dpx
+            p_new = P.polyval(x_new, c)
+            if abs(p_new) >= abs(px):
+                break
+            x, px = x_new, p_new
+        if lo < x < hi and vanishes(x):
+            roots.append(float(x))
 
-    if osculation_tol > 0.0:
-        for i in range(1, cells):
-            v = abs(fs[i])
-            if v < osculation_tol and v <= abs(fs[i - 1]) and v <= abs(fs[i + 1]) \
-                    and sign[i - 1] == sign[i + 1] and sign[i - 1] != 0 and fs[i] != 0.0:
-                raise BracketingFailure(
-                    f"residual osculates zero near x={xs[i]:.6g} without a sign change")
-
-    roots.sort()
-    # collapse duplicates produced by a root sitting on a grid point
-    dedup: list[float] = []
-    tol = 1e-12 * max(1.0, abs(hi - lo))
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > tol:
-            dedup.append(r)
-    return dedup
+    clusters: list[list[float]] = []
+    for x in sorted(roots):
+        if clusters and vanishes(0.5 * (clusters[-1][-1] + x)):
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return [sum(cl) / len(cl) for cl in clusters]

@@ -45,6 +45,17 @@ def test_envelope_command(tmp_path):
     assert built[1].endswith(",")
 
 
+def test_envelope_tangent_point_next_to_inflection(tmp_path):
+    out = tmp_path / "env"
+    flux = "--flux=polynomial:[0,0,4,-4,1]"
+    assert main(["envelope", flux, "--states=2.3358,0.42251", f"--out={out}"]) == 0
+    for name in ("envelope.csv", "envelope_oracle.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["secant", "arc", "secant"]
+    assert main(["solve", flux, "--riemann=0,2.3358,0.42251", "--exact", f"--out={out}"]) == 0
+    assert len((out / "shocks.csv").read_text().splitlines()) == 3
+
+
 def test_envelope_linear_flux_single_secant(tmp_path):
     out = tmp_path / "lin"
     assert main(["envelope", "--flux", "polynomial:[1,3]", "--states=-0.2,0.7",

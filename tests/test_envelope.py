@@ -9,7 +9,6 @@ from eqarea.envelope import (
     double_tangent,
     envelope_to_wavefan,
     oracle_envelope,
-    tangency_roots,
     wave_speed_range,
     Rarefaction,
     Shock,
@@ -31,15 +30,15 @@ def envelope_value(env, flux, u):
 
 class TestTangencyRoots:
     def test_example1_from_zero(self, flux_e1):
-        roots = tangency_roots(flux_e1, 0.0, (0.0, 2.0))
+        roots = flux_e1.tangent_points(0.0, 0.0, 2.0)
         assert roots == pytest.approx([E1_USTAR], abs=1e-13)
 
     def test_example3_from_zero(self, flux_e3):
-        roots = tangency_roots(flux_e3, 0.0, (0.0, 3.5))
+        roots = flux_e3.tangent_points(0.0, 0.0, 3.5)
         assert roots == pytest.approx([E3_T1, E3_T2], abs=1e-12)
 
     def test_convex_flux_empty(self, flux_square):
-        assert tangency_roots(flux_square, 0.0, (0.0, 1.0)) == []
+        assert flux_square.tangent_points(0.0, 0.0, 1.0) == []
 
     def test_grid_scan_oracle(self, flux_e1):
         # brute-force check that each reported root zeroes the residual and
@@ -149,6 +148,15 @@ class TestBuildEnvelope:
                 us = np.linspace(seg.u_a + 1e-9, seg.u_b - 1e-9, 501)
                 assert np.all(flux_e1(us, 2) <= 1e-10)
 
+    def test_tangent_point_next_to_inflection(self, flux_e1):
+        # u_R sits 1.4e-4 below the inflection at 1 - 1/sqrt(3); the tangent
+        # point lies 2.1e-4 from it (50-digit mpmath root below)
+        env = build_envelope(flux_e1, 2.3358, 0.42251)
+        assert [type(s) for s in env.segments] == [Secant, Arc, Secant]
+        assert env.segments[0].u_b == pytest.approx(0.42271959938607334, abs=1e-14)
+        oracle = oracle_envelope(flux_e1, 2.3358, 0.42251, 10**5)
+        assert [type(s) for s in oracle.segments] == [Secant, Arc, Secant]
+
     def test_reflection_duality(self, flux_e3):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -237,3 +245,102 @@ class TestWaveFan:
                     lo, hi = wave_speed_range(w, flux)
                     assert lo >= prev_hi - 1e-9
                     prev_hi = hi
+
+
+# Spans of acceptance criterion 1, with exact mpmath forms of their fluxes.
+MP_FLUXES = {
+    "ex1": lambda u: (u * u - 2 * u) ** 2,
+    "ex3": lambda u: u ** 4 / 4 - 5 * u ** 3 / 3 + 3 * u ** 2,
+    "bl": lambda u: u * u / (u * u + (1 - u) ** 2 / 2),
+}
+CRITERION_1_SPANS = [("ex1", (-0.5, 2.5)), ("ex1", (-1.0, 3.0)),
+                     ("ex3", (-0.5, 4.0)), ("bl", (0.0, 1.0))]
+
+
+@pytest.fixture(scope="module")
+def fluxes_by_name(flux_e1, flux_e3, flux_bl):
+    return {"ex1": flux_e1, "ex3": flux_e3, "bl": flux_bl}
+
+
+def _mp_tangent_point(name, anchor, guess):
+    """50-digit root of (F(u) - F(a) - F'(u)(u - a)) / (u - a)^2 near guess."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 50
+    F = MP_FLUXES[name]
+    a = mp.mpf(anchor)
+
+    def deflated(u):
+        return (F(u) - F(a) - mp.diff(F, u) * (u - a)) / (u - a) ** 2
+
+    width = mp.mpf(1e-8) * (1 + abs(guess))
+    return float(mp.findroot(deflated, (guess - width, guess + width), solver="anderson"))
+
+
+def test_state_anchored_tangent_points_match_mpmath(fluxes_by_name):
+    # every secant of a built envelope that starts or ends at a state and
+    # touches the flux at its other end is a tangent from that state
+    rng = np.random.default_rng(41)
+    checked = 0
+    worst = 0.0
+    for name, span in CRITERION_1_SPANS:
+        flux = fluxes_by_name[name]
+        for _ in range(150):
+            u_L, u_R = rng.uniform(*span, 2)
+            env = build_envelope(flux, u_L, u_R)
+            for seg in env.segments:
+                if not isinstance(seg, Secant):
+                    continue
+                ends = {seg.u_a, seg.u_b}
+                for anchor, touch in ((env.u_lo, seg.u_b), (env.u_hi, seg.u_a)):
+                    if anchor in ends and touch not in (env.u_lo, env.u_hi):
+                        exact = _mp_tangent_point(name, anchor, touch)
+                        err = abs(touch - exact) / (1.0 + abs(exact))
+                        worst = max(worst, err)
+                        assert err <= 5e-14, (name, u_L, u_R, touch, exact)
+                        checked += 1
+    assert checked > 200, checked
+
+
+def _inflections(name, span):
+    """Sign changes of F'' on a fine grid, refined with mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    F = MP_FLUXES[name]
+    d2 = lambda u: mpmath.diff(F, u, 2)  # noqa: E731
+    grid = np.linspace(*span, 401)
+    vals = [float(d2(mpmath.mpf(float(u)))) for u in grid]
+    return [float(mpmath.findroot(d2, (mpmath.mpf(float(a)), mpmath.mpf(float(b))),
+                                  solver="anderson"))
+            for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
+            if (fa > 0.0) != (fb > 0.0)]
+
+
+def test_envelope_near_inflections_is_a_hull(fluxes_by_name):
+    # one state within 1e-3 of an inflection: arcs keep the hull's
+    # curvature sign, secants stay on the hull side, pieces join exactly
+    rng = np.random.default_rng(17)
+    cases = 0
+    for name, span in CRITERION_1_SPANS:
+        flux = fluxes_by_name[name]
+        for c in _inflections(name, span):
+            for _ in range(60):
+                near = c + rng.uniform(-1e-3, 1e-3)
+                other = rng.uniform(*span)
+                u_L, u_R = (near, other) if rng.random() < 0.5 else (other, near)
+                env = build_envelope(flux, u_L, u_R)
+                sign = -1.0 if env.side == "upper" else 1.0
+                scale = 1.0 + abs(float(flux(u_L))) + abs(float(flux(u_R)))
+                assert env.segments[0].u_a == env.u_lo and env.segments[-1].u_b == env.u_hi
+                for s0, s1 in zip(env.segments[:-1], env.segments[1:]):
+                    assert s0.u_b == s1.u_a
+                for seg in env.segments:
+                    us = np.linspace(seg.u_a, seg.u_b, 2001)
+                    if isinstance(seg, Arc):
+                        d2 = sign * flux(us[1:-1], 2)
+                        assert np.all(d2 >= -1e-12 * scale), (name, u_L, u_R, seg)
+                    else:
+                        gap = sign * (flux(us) - flux(seg.u_a) - seg.slope * (us - seg.u_a))
+                        assert np.all(gap >= -1e-10 * scale), (name, u_L, u_R, seg)
+                cases += 1
+    assert cases >= 300, cases

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqarea.errors import BracketingFailure
-from eqarea.rootfind import bisect, scan_roots
+from eqarea.rootfind import bisect, poly_roots
 
 
 def test_bisect_simple():
@@ -17,29 +17,26 @@ def test_bisect_needs_sign_change():
         bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_scan_finds_all_roots():
-    roots = scan_roots(lambda x: np.sin(x), 0.5, 10.0)
-    assert roots == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-12)
+def test_poly_roots_inside_open_interval():
+    # (u + 1)(u - 0.5)(u - 2), coefficients low to high degree
+    coeffs = (1.0, -1.5, -1.5, 1.0)
+    assert poly_roots(coeffs, -2.0, 3.0) == pytest.approx([-1.0, 0.5, 2.0], abs=1e-15)
+    assert poly_roots(coeffs, -1.0, 2.0) == pytest.approx([0.5], abs=1e-15)
 
 
-def test_scan_excludes_endpoint_zeros():
-    roots = scan_roots(lambda x: np.sin(x), 0.0, math.pi)
-    assert roots == []
+def test_poly_roots_double_root_counts_once():
+    assert poly_roots((0.09, -0.6, 1.0), 0.0, 1.0) == pytest.approx([0.3], abs=1e-15)
+    assert poly_roots((0.0, 0.0, 12.0), -1.0, 1.0) == [0.0]
 
 
-def test_scan_osculation_detection():
-    # (x - 1)^2 touches zero without crossing; the interval is chosen so the
-    # double root falls between grid points
-    with pytest.raises(BracketingFailure):
-        scan_roots(lambda x: (x - 1.0) ** 2, 0.0, 2.1, osculation_tol=1e-6)
+def test_poly_roots_skips_complex_pairs_and_constants():
+    assert poly_roots((1.0, 0.0, 1.0), -5.0, 5.0) == []
+    assert poly_roots((2.0, 0.0, 0.0), -5.0, 5.0) == []
+    assert poly_roots((0.0,), -5.0, 5.0) == []
 
 
-def test_scan_reports_exact_double_root_on_grid():
-    # when the osculating zero lands exactly on a grid point it is a root
-    roots = scan_roots(lambda x: (x - 1.0) ** 2, 0.0, 2.0, osculation_tol=1e-6)
-    assert roots == [1.0]
-
-
-def test_scan_root_on_grid_point():
-    roots = scan_roots(lambda x: x - 1.0, 0.0, 2.0, cells=4)
-    assert roots == pytest.approx([1.0], abs=0.0)
+def test_poly_roots_polishes_to_the_last_bits():
+    # the companion eigenvalues alone are off by a few 1e-15 here
+    roots = np.array([1.0 / 3.0, 0.35, 2.0])
+    coeffs = np.polynomial.polynomial.polyfromroots(roots)
+    assert poly_roots(coeffs, 0.0, 3.0) == pytest.approx(roots, abs=1e-15)
