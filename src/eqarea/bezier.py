@@ -27,7 +27,6 @@ __all__ = [
     "bernstein",
     "bernstein_derivative",
     "gauss_area",
-    "segment_area",
     "intersect_vertical",
 ]
 
@@ -128,21 +127,6 @@ def gauss_area(xc, yc, t0, t1):
 
 def _controls(seg: BezierSegment, k: int) -> tuple[float, float, float, float]:
     return seg.a[k], seg.c1[k], seg.c2[k], seg.d[k]
-
-
-def point_at(seg: BezierSegment, t):
-    """Bernstein evaluation of position; t may be scalar or array."""
-    return bernstein(*_controls(seg, 0), t), bernstein(*_controls(seg, 1), t)
-
-
-def derivative_at(seg: BezierSegment, t):
-    return (bernstein_derivative(*_controls(seg, 0), t),
-            bernstein_derivative(*_controls(seg, 1), t))
-
-
-def segment_area(seg: BezierSegment) -> float:
-    """Signed parametric area under the whole segment, int B2 B1' dt."""
-    return gauss_area(_controls(seg, 0), _controls(seg, 1), 0.0, 1.0)
 
 
 def _quadratic_roots(b, c, d):

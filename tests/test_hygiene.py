@@ -1,8 +1,10 @@
 """Static hygiene of the package sources, read with the standard ``ast`` module.
 
-Every module-level import is used, and every ``__all__`` entry names
-something the module defines. The package ``__init__`` imports names only
-to re-export them, so its imports are exempt from the first check.
+Every module-level import is used, every ``__all__`` entry names
+something the module defines, and every module-level function or class is
+used somewhere in the package or re-exported by its ``__init__``. The
+package ``__init__`` imports names only to re-export them, so its imports
+are exempt from the first check.
 """
 
 import ast
@@ -76,3 +78,22 @@ def test_all_entries_defined(path):
     tree = _tree(path)
     missing = [name for name in _exported(tree) if name not in _defined(tree)]
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
+
+
+def _referenced(tree):
+    """Names loaded or read as attributes anywhere in the module."""
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _used_names(tree) | attrs
+
+
+def test_every_definition_used_in_the_package():
+    # a function or class only tests reach is dead code, unless the
+    # package re-exports it as public API
+    trees = {path: _tree(path) for path in MODULES}
+    init = trees[SRC / "__init__.py"]
+    public = {name for name, _ in _imports(init)}
+    used = set().union(*(_referenced(tree) for tree in trees.values()))
+    unused = [f"{path.stem}.{node.name}" for path, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used | public]
+    assert not unused, f"defined but never used in the package: {unused}"
