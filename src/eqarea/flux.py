@@ -161,10 +161,11 @@ class FluxFunction:
         if self._den is None:
             return _polyval(self._num[order], u)
         q = _polyval(self._den, u)
-        bad = np.abs(q) <= _DENOM_TOL * self._den_scale
-        if np.any(bad):
+        if np.any(abs(q) <= _DENOM_TOL * self._den_scale):
             raise DomainError("flux denominator vanishes at a queried point")
-        return _polyval(self._num[order], u) / q ** (order + 1)
+        # products, not q ** k: numpy and Python round powers differently
+        den = q * q * q if order == 2 else q * q if order == 1 else q
+        return _polyval(self._num[order], u) / den
 
     def __call__(self, u, order: int = 0):
         return self.evaluate(u, order)

@@ -152,3 +152,17 @@ def test_pole_outside_state_interval_solves():
 def test_pole_check_ignores_polynomials_and_complex_roots(flux_e1, flux_bl):
     flux_e1.check_no_pole(-10.0, 10.0)
     flux_bl.check_no_pole(0.0, 1.0)  # denominator roots are complex
+
+
+@pytest.mark.parametrize("text, span", [
+    ("named:buckley-leverett{M:0.5}", (0.0, 1.0)),
+    ("rational:[0.0,0.35746712316898616,0.19099248938301286]/[1,0.21991591018707474,0.5]",
+     (-1.0, 1.0)),
+])
+def test_float_and_array_give_the_same_bits(text, span):
+    # the scalar and vectorized paths of the solver must agree exactly
+    flux = parse_flux_spec(text)
+    us = np.random.default_rng(8).uniform(*span, 50_000)
+    for order in (0, 1, 2):
+        scalar = np.array([flux(u, order) for u in us.tolist()])
+        assert np.array_equal(scalar, flux(us, order)), order
