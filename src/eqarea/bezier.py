@@ -10,8 +10,9 @@ horizontal extent) and solving the signed-area constraint
 for r2 (all quantities translated so the first endpoint is the origin)
 makes the parametric area under the curve match the target exactly, which
 raises the interpolation from fourth to fifth order. When the r2
-coefficient degenerates or the solved r2 is non-positive the segment falls
-back to the plain cubic Hermite (r1 = r2 = h) and records that.
+coefficient is below its rounding noise or the solved r2 is non-positive
+the segment falls back to the plain cubic Hermite (r1 = r2 = h) and
+records that.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "intersect_vertical",
 ]
 
+_EPS = 2.220446049250313e-16
 _GAUSS3_T = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
 _GAUSS3_W = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
@@ -78,8 +80,11 @@ def construct_area_preserving(p0, p1, tan0, tan1, target_area: float) -> BezierS
     nb = math.hypot(*beta)
     coeff_scale = r1 * na * nb / 60.0 + nb * diam / 10.0
 
+    # d = p1 - p0 carries the rounding of the absolute positions, so a
+    # nearly straight segment far from the origin has coeff at noise level
+    noise = 64.0 * _EPS * (abs(p0[0]) + abs(p0[1]) + abs(p1[0]) + abs(p1[1])) / diam
     fallback = False
-    if abs(coeff) < 1e-12 * coeff_scale:
+    if abs(coeff) < max(1e-12, noise) * coeff_scale:
         fallback = True
         r2 = h
     else:

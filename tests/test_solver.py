@@ -5,7 +5,7 @@ import pytest
 
 from conftest import BL_SPEED, BL_USTAR, E1_SPEED, E1_USTAR, E3_A, E3_B, E3_SPEED
 from eqarea.characteristics import InitialData, Piece
-from eqarea.errors import FanOverlap
+from eqarea.errors import FanOverlap, ProjectionFailure
 from eqarea.flux import polynomial_flux
 from eqarea.solver import solve_piecewise, solve_riemann_exact, solve_riemann_numerical
 
@@ -99,6 +99,35 @@ class TestNumerical:
         drift = mass_now - mass_start
         expected = t * (flux_e1(u_L) - flux_e1(u_R))
         assert drift == pytest.approx(expected, abs=1e-9)
+
+
+class TestWeakWaves:
+    # a convex quadratic: every rising jump is one rarefaction
+    FLUX = polynomial_flux([0.0, 1.1574799770837125, 0.4367339276615804])
+
+    @pytest.mark.parametrize("n", [41, 81, 160, 321, 640])
+    def test_weak_rarefaction_on_convex_flux(self, n):
+        # nearly straight front at |x| ~ 1: the r2 coefficient of the
+        # area-preserving segments is rounding noise and must fall back
+        prof = solve_riemann_numerical(self.FLUX, -0.10090768669173622,
+                                       -0.09187338123496591, 0.0, 1.0, n)
+        assert prof.waves == ["R"]
+        assert prof.shocks == []
+
+    def test_weak_rarefaction_sweep(self):
+        failed = []
+        for base in (-0.7, -0.1, 0.3):
+            for width in (0.03, 0.01, 0.003, 0.001):
+                for n in (41, 160, 640):
+                    try:
+                        prof = solve_riemann_numerical(self.FLUX, base, base + width,
+                                                       0.0, 1.0, n)
+                        ok = prof.waves == ["R"] and prof.shocks == []
+                    except ProjectionFailure:
+                        ok = False
+                    if not ok:
+                        failed.append((base, width, n))
+        assert not failed
 
 
 class TestPiecewise:
