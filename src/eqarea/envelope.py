@@ -96,13 +96,6 @@ class Bitangent:
     slope: float
 
 
-def _fprime_branches(flux, lo, hi):
-    """Maximal subintervals of [lo, hi] on which F' is monotone."""
-    bounds = [lo] + flux.inflections(lo, hi) + [hi]
-    tiny = 1e-13 * max(1.0, hi - lo)
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > tiny]
-
-
 def _invert_fprime(flux, m, branch):
     """Solve F'(u) = m on a branch where F' is monotone."""
     a, b = branch
@@ -125,8 +118,11 @@ def double_tangent(flux: FluxFunction, interval) -> list[Bitangent]:
     double tangent.
     """
     lo, hi = interval
-    branches = _fprime_branches(flux, lo, hi)
     width = hi - lo
+    # F' is monotone between consecutive inflections
+    bounds = [lo, *flux.inflections(lo, hi), hi]
+    tiny = 1e-13 * max(1.0, width)
+    branches = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > tiny]
     fscale = 1.0 + max(abs(float(flux(lo))), abs(float(flux(hi))))
     found: list[Bitangent] = []
 
@@ -170,15 +166,6 @@ def double_tangent(flux: FluxFunction, interval) -> list[Bitangent]:
     return found
 
 
-def _majorizes(flux, lo, hi, slope, offset, tol):
-    """Does the line offset + slope*(u - lo) stay above F on [lo, hi]?
-
-    F minus the line peaks at an end or where F' equals the slope.
-    """
-    us = np.array([lo, *flux.slope_points(slope, lo, hi), hi])
-    return bool(np.all(offset + slope * (us - lo) >= flux(us) - tol))
-
-
 def _upper_hull_segments(flux: FluxFunction, lo: float, hi: float) -> list[EnvelopeSegment]:
     """Upper envelope of F on [lo, hi] anchored at lo, as ascending segments."""
     f_lo = float(flux(lo))
@@ -188,8 +175,10 @@ def _upper_hull_segments(flux: FluxFunction, lo: float, hi: float) -> list[Envel
     tol = 1e-10 * fscale
     utiny = 1e-12 * max(1.0, width)
 
+    # F minus the full secant peaks at an end or where F' equals its slope
     full_slope = (f_hi - f_lo) / width
-    if _majorizes(flux, lo, hi, full_slope, f_lo, tol):
+    us = np.array([lo, *flux.slope_points(full_slope, lo, hi), hi])
+    if np.all(f_lo + full_slope * (us - lo) >= flux(us) - tol):
         return [Secant(lo, hi, full_slope)]
 
     segments: list[EnvelopeSegment] = []

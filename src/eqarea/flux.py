@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, InvalidOrder, ParseError, UnknownNamedFlux
 from .rootfind import poly_roots
@@ -67,16 +68,6 @@ def _polysub(a, b):
 
 def _polyscale(a, s):
     return tuple(s * c for c in a)
-
-
-def _deflate(coeffs, a):
-    """Quotient of the polynomial by (u - a), remainder dropped."""
-    out = [0.0] * (len(coeffs) - 1)
-    acc = 0.0
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * a + coeffs[k]
-        out[k - 1] = acc
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,7 @@ class FluxFunction:
         f_a = float(self.evaluate(anchor))
         r = _polysub(_polysub(_polymul(p, q), _polyscale(_polymul(q, q), f_a)),
                      _polymul(n1, (-anchor, 1.0)))
-        return poly_roots(_deflate(_deflate(r, anchor), anchor), lo, hi)
+        return poly_roots(P.polydiv(r, (anchor * anchor, -2.0 * anchor, 1.0))[0], lo, hi)
 
     def slope_points(self, m: float, lo: float, hi: float) -> list[float]:
         """Points u in (lo, hi) with F'(u) = m: the roots of N1 - m Q^2."""
