@@ -152,7 +152,8 @@ class FluxFunction:
         if self._den is None:
             return _polyval(self._num[order], u)
         q = _polyval(self._den, u)
-        if np.any(abs(q) <= _DENOM_TOL * self._den_scale):
+        bad = np.abs(q) <= _DENOM_TOL * self._den_scale
+        if np.any(bad):
             raise DomainError("flux denominator vanishes at a queried point")
         # products, not q ** k: numpy and Python round powers differently
         den = q * q * q if order == 2 else q * q if order == 1 else q

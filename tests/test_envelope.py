@@ -265,16 +265,16 @@ def fluxes_by_name(flux_e1, flux_e3, flux_bl):
 def _mp_tangent_point(name, anchor, guess):
     """50-digit root of (F(u) - F(a) - F'(u)(u - a)) / (u - a)^2 near guess."""
     mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
-    mp.dps = 50
     F = MP_FLUXES[name]
-    a = mp.mpf(anchor)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(anchor)
 
-    def deflated(u):
-        return (F(u) - F(a) - mp.diff(F, u) * (u - a)) / (u - a) ** 2
+        def deflated(u):
+            return (F(u) - F(a) - mpmath.diff(F, u) * (u - a)) / (u - a) ** 2
 
-    width = mp.mpf(1e-8) * (1 + abs(guess))
-    return float(mp.findroot(deflated, (guess - width, guess + width), solver="anderson"))
+        width = mpmath.mpf(1e-8) * (1 + abs(guess))
+        return float(mpmath.findroot(deflated, (guess - width, guess + width),
+                                     solver="anderson"))
 
 
 def test_state_anchored_tangent_points_match_mpmath(fluxes_by_name):
@@ -282,7 +282,6 @@ def test_state_anchored_tangent_points_match_mpmath(fluxes_by_name):
     # touches the flux at its other end is a tangent from that state
     rng = np.random.default_rng(41)
     checked = 0
-    worst = 0.0
     for name, span in CRITERION_1_SPANS:
         flux = fluxes_by_name[name]
         for _ in range(150):
@@ -296,7 +295,6 @@ def test_state_anchored_tangent_points_match_mpmath(fluxes_by_name):
                     if anchor in ends and touch not in (env.u_lo, env.u_hi):
                         exact = _mp_tangent_point(name, anchor, touch)
                         err = abs(touch - exact) / (1.0 + abs(exact))
-                        worst = max(worst, err)
                         assert err <= 5e-14, (name, u_L, u_R, touch, exact)
                         checked += 1
     assert checked > 200, checked
@@ -305,15 +303,14 @@ def test_state_anchored_tangent_points_match_mpmath(fluxes_by_name):
 def _inflections(name, span):
     """Sign changes of F'' on a fine grid, refined with mpmath."""
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
     F = MP_FLUXES[name]
     d2 = lambda u: mpmath.diff(F, u, 2)  # noqa: E731
-    grid = np.linspace(*span, 401)
-    vals = [float(d2(mpmath.mpf(float(u)))) for u in grid]
-    return [float(mpmath.findroot(d2, (mpmath.mpf(float(a)), mpmath.mpf(float(b))),
-                                  solver="anderson"))
-            for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
-            if (fa > 0.0) != (fb > 0.0)]
+    grid = np.linspace(*span, 401).tolist()
+    with mpmath.workdps(30):
+        vals = [d2(mpmath.mpf(u)) for u in grid]
+        return [float(mpmath.findroot(d2, (mpmath.mpf(a), mpmath.mpf(b)), solver="anderson"))
+                for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
+                if (fa > 0) != (fb > 0)]
 
 
 def test_envelope_near_inflections_is_a_hull(fluxes_by_name):
