@@ -18,7 +18,6 @@ Run from the repository root:
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -124,8 +123,9 @@ def corrupted_node_areas(amplitude=5.0):
     def bad_flow(nodes, flux, t):
         out = flow(nodes, flux, t)
         h = 1.0 / (len(out) - 1)
-        return [replace(nd, cum_area=nd.cum_area + amplitude * h**4 * math.sin(3.0 * nd.s))
-                for nd in out]
+        out.cum_area = [area + amplitude * h**4 * math.sin(3.0 * s)
+                        for s, area in zip(out.s.tolist(), out.cum_area.tolist())]
+        return out
     saved = solver.flow
     solver.flow = bad_flow
     try:

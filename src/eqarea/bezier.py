@@ -12,18 +12,16 @@ makes the parametric area under the curve match the target exactly, which
 raises the interpolation from fourth to fifth order. When the r2
 coefficient is below its rounding noise or the solved r2 is non-positive
 the segment falls back to the plain cubic Hermite (r1 = r2 = h) and
-records that.
+records that. A segment is its four x and four y control values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateSegment
 
 __all__ = [
-    "BezierSegment",
     "construct_area_preserving",
     "bernstein",
     "bernstein_derivative",
@@ -36,27 +34,17 @@ _GAUSS3_T = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
 _GAUSS3_W = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
 
-@dataclass(frozen=True)
-class BezierSegment:
-    a: tuple[float, float]
-    c1: tuple[float, float]
-    c2: tuple[float, float]
-    d: tuple[float, float]
-    r1: float
-    r2: float
-    fallback: bool = False
-
-
 def _cross(p, q):
     return p[0] * q[1] - p[1] * q[0]
 
 
-def construct_area_preserving(p0, p1, tan0, tan1, target_area: float) -> BezierSegment:
+def construct_area_preserving(p0, p1, tan0, tan1, target_area: float):
     """Segment from p0 to p1 with tangent directions tan0/tan1 and exact area.
 
     Control points are C1 = p0 + r1 tan0 / 3 and C2 = p1 - r2 tan1 / 3 with
     r1 = |p1_x - p0_x| and r2 solved from the area constraint. Callers own
-    the tangent scaling; horizontal data uses slope form (1, m).
+    the tangent scaling; horizontal data uses slope form (1, m). Returns
+    the x control values, the y control values and the fallback flag.
     """
     p0 = (float(p0[0]), float(p0[1]))
     p1 = (float(p1[0]), float(p1[1]))
@@ -93,9 +81,9 @@ def construct_area_preserving(p0, p1, tan0, tan1, target_area: float) -> BezierS
             fallback = True
             r2 = h
 
-    c1 = (p0[0] + r1 * alpha[0] / 3.0, p0[1] + r1 * alpha[1] / 3.0)
-    c2 = (p1[0] - r2 * beta[0] / 3.0, p1[1] - r2 * beta[1] / 3.0)
-    return BezierSegment(p0, c1, c2, p1, r1, r2, fallback)
+    xc = (p0[0], p0[0] + r1 * alpha[0] / 3.0, p1[0] - r2 * beta[0] / 3.0, p1[0])
+    yc = (p0[1], p0[1] + r1 * alpha[1] / 3.0, p1[1] - r2 * beta[1] / 3.0, p1[1])
+    return xc, yc, fallback
 
 
 def bernstein(p0, p1, p2, p3, t):
@@ -128,10 +116,6 @@ def gauss_area(xc, yc, t0, t1):
         t = t0 + (t1 - t0) * gt
         total += gw * bernstein(*yc, t) * bernstein_derivative(*xc, t)
     return total * (t1 - t0)
-
-
-def _controls(seg: BezierSegment, k: int) -> tuple[float, float, float, float]:
-    return seg.a[k], seg.c1[k], seg.c2[k], seg.d[k]
 
 
 def _quadratic_roots(b, c, d):
@@ -176,12 +160,12 @@ def _cubic_roots(a, b, c, d):
     return [big_a + big_b - p / 3.0]
 
 
-def intersect_vertical(seg: BezierSegment, x_line: float) -> list[float]:
-    """All parameters t in [0, 1] where the segment crosses x = x_line.
+def intersect_vertical(xc, x_line: float) -> list[float]:
+    """All parameters t in [0, 1] where x control values ``xc`` cross x = x_line.
 
     Analytic cubic roots, one Newton polish each, deduplicated to 1e-12.
     """
-    x0, x1, x2, x3 = seg.a[0], seg.c1[0], seg.c2[0], seg.d[0]
+    x0, x1, x2, x3 = xc
     c3 = -x0 + 3.0 * x1 - 3.0 * x2 + x3
     c2 = 3.0 * (x0 - 2.0 * x1 + x2)
     c1 = 3.0 * (x1 - x0)

@@ -8,16 +8,15 @@ area is a boundary term, so the integral of g is computed once at seeding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateStates, QuadratureFailure
+from .errors import DegenerateStates, DomainError, QuadratureFailure
 from .flux import FluxFunction
 
 __all__ = [
-    "CharNode",
     "Piece",
     "InitialData",
     "seed_riemann",
@@ -26,30 +25,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharNode:
-    """One sample of the (possibly flowed) initial curve.
-
-    s is the curve parameter: the jump-front fraction in [0, 1] for Riemann
-    seeds and the seed position x0 for smooth data samples. Seed quantities
-    (x0 and the t = 0 tangent) stay on the node so the flow map is always
-    evaluated from time zero.
-    """
-
-    s: float
-    u: float
-    x0: float
-    tx0: float  # d x / d s at t = 0
-    tu: float   # d u / d s (time-invariant)
-    base_area: float  # integral of g ds from the chain start, t-independent
-    x: float = 0.0
-    tx: float = 0.0
-    cum_area: float = 0.0
+# One record per node of the (possibly flowed) initial curve. s is the jump
+# fraction in [0, 1] on a Riemann front and the seed position on smooth data.
+# The seed values x0, tx0 = dx/ds at t = 0, tu = du/ds and base_area (the
+# integral of g ds from the first node) stay, so flows start from t = 0.
+_NODE = np.dtype([(name, float) for name in
+                  ("s", "u", "x0", "tx0", "tu", "base_area", "x", "tx", "cum_area")])
 
 
-def _phi(flux: FluxFunction, u: float) -> float:
-    """Boundary-term potential F'(u) u - F(u)."""
-    return float(flux(u, 1)) * u - float(flux(u))
+def _front(s, u, x0, tx0, tu, base_area) -> np.recarray:
+    """Unflowed front: x, tx and cum_area equal x0, tx0 and base_area."""
+    columns = np.broadcast_arrays(s, u, x0, tx0, tu, base_area, x0, tx0, base_area)
+    return np.rec.fromarrays(columns, dtype=_NODE)
 
 
 @dataclass(frozen=True)
@@ -146,7 +133,7 @@ def _adapt(f, a, b, whole, tol, depth):
             + _adapt(f, mid, b, right, half_tol, depth - 1))
 
 
-def seed_riemann(u_L: float, u_R: float, x0: float, n: int) -> list[CharNode]:
+def seed_riemann(u_L: float, u_R: float, x0: float, n: int) -> np.recarray:
     """Nodes for a Riemann jump front.
 
     The front is parametrized by s in [0, 1] with u(s) = u_R s + (1 - s) u_L
@@ -158,50 +145,40 @@ def seed_riemann(u_L: float, u_R: float, x0: float, n: int) -> list[CharNode]:
     if u_L == u_R:
         raise DegenerateStates("equal states leave nothing to parametrize")
     du = u_R - u_L
-    nodes = []
-    for i in range(n):
-        s = i / (n - 1)
-        nodes.append(CharNode(s=s, u=u_L + du * s, x0=x0, tx0=0.0, tu=du,
-                              base_area=0.0, x=x0, tx=0.0))
-    return nodes
+    s = np.arange(n) / (n - 1)
+    return _front(s, u_L + du * s, x0, 0.0, du, 0.0)
 
 
-def seed_smooth(piece: Piece, n: int) -> list[CharNode]:
+def seed_smooth(piece: Piece, n: int) -> np.recarray:
     """Uniform seeding of one smooth piece; s is the seed position itself."""
     if n < 2:
         raise ValueError("need at least two nodes")
     xs = np.linspace(piece.x_lo, piece.x_hi, n)
-    nodes = []
-    base = 0.0
-    prev = float(xs[0])
-    for i, xi in enumerate(xs):
-        xi = float(xi)
-        if i > 0:
-            base += piece.integral(prev, xi)
-        nodes.append(CharNode(s=xi, u=float(piece.g(xi)), x0=xi, tx0=1.0,
-                              tu=float(piece.g1(xi)), base_area=base, x=xi,
-                              tx=1.0, cum_area=base))
-        prev = xi
-    return nodes
+    xl = xs.tolist()
+    steps = [0.0] + [piece.integral(a, b) for a, b in zip(xl[:-1], xl[1:])]
+    return _front(xs, [float(piece.g(x)) for x in xl], xs, 1.0,
+                  [float(piece.g1(x)) for x in xl], np.cumsum(steps))
 
 
-def flow(nodes: list[CharNode], flux: FluxFunction, t: float) -> list[CharNode]:
+def flow(nodes: np.recarray, flux: FluxFunction, t: float) -> np.recarray:
     """Transport nodes to absolute time t along their characteristics.
 
     Positions move linearly, x = x0 + t F'(u); tangents pick up
     t F''(u) du/ds in the horizontal component; cumulative areas update by
-    evaluating the boundary term against the first chain node.
+    evaluating the boundary term F'(u) u - F(u) against the first node.
+    Raises DomainError if a flowed value overflows.
     """
     if t < 0.0:
         raise ValueError("flow runs forward in time only")
-    if not nodes:
-        return []
-    phi0 = _phi(flux, nodes[0].u)
-    out = []
-    for nd in nodes:
-        fp = float(flux(nd.u, 1))
-        fpp = float(flux(nd.u, 2))
-        out.append(replace(nd, x=nd.x0 + fp * t,
-                           tx=nd.tx0 + t * fpp * nd.tu,
-                           cum_area=nd.base_area + t * (_phi(flux, nd.u) - phi0)))
+    out = nodes.copy()
+    u = nodes.u
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = flux(u, 1)
+        phi = fp * u - flux(u)
+        out.x = nodes.x0 + fp * t
+        out.tx = nodes.tx0 + t * flux(u, 2) * nodes.tu
+        out.cum_area = nodes.base_area + t * (phi - phi[:1])
+    bad = ~(np.isfinite(out.x) & np.isfinite(out.tx) & np.isfinite(out.cum_area))
+    if bad.any():
+        raise DomainError(f"flowed front overflows at u = {u[bad][0]:.12g}")
     return out

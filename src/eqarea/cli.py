@@ -204,6 +204,13 @@ def _finite_floats(text: str, flag: str, expected: str) -> list[float]:
     return values
 
 
+def _parse_flux(text: str) -> FluxFunction:
+    try:
+        return parse_flux_spec(text)
+    except ParseError as exc:
+        raise ParseError(f"bad --flux value {text!r}: {exc}") from None
+
+
 def _check_time(t: float | None) -> None:
     if t is not None and not math.isfinite(t):
         raise ParseError(f"--time needs a finite number, got {t}")
@@ -250,7 +257,7 @@ def _cmd_solve(args) -> int:
     riemann = args.riemann or cfg.get("riemann")
     if not flux_text or not riemann:
         raise _UsageError("solve needs --flux and --riemann (flags or config)")
-    flux = parse_flux_spec(flux_text)
+    flux = _parse_flux(flux_text)
     x0, u_L, u_R = _finite_floats(riemann, "--riemann", "x0,uL,uR")
     _check_time(args.time)
     if args.samples < 2:
@@ -273,7 +280,7 @@ def _cmd_envelope(args) -> int:
     states = args.states or cfg.get("states")
     if not flux_text or not states:
         raise _UsageError("envelope needs --flux and --states (flags or config)")
-    flux = parse_flux_spec(flux_text)
+    flux = _parse_flux(flux_text)
     u_L, u_R = _finite_floats(states, "--states", "uL,uR")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

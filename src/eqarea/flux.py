@@ -144,6 +144,8 @@ class FluxFunction:
             self._num = (p, n1, n2)
             self._den = q
             self._den_scale = max(abs(c) for c in q)
+        if not np.isfinite(np.concatenate((*self._num, self._den or ()))).all():
+            raise ParseError(f"flux {spec!r} has a coefficient of F, F' or F'' that is not finite")
 
     def evaluate(self, u, order: int = 0):
         """Return F(u), F'(u) or F''(u) for scalar or array ``u``."""

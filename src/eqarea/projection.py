@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bezier, rootfind
-from .bezier import BezierSegment
-from .characteristics import CharNode
 from .errors import ProjectionFailure
 
 __all__ = [
@@ -48,6 +46,10 @@ class ShockRecord:
     s_span: tuple[float, float]  # replaced chain-parameter interval
 
 
+# one Bezier segment: its x and u control values and the Hermite fallback flag
+_SEGMENT = np.dtype([("x", float, 4), ("u", float, 4), ("fallback", bool)])
+
+
 class CharChain:
     """Front nodes plus one area-preserving Bezier segment per node pair.
 
@@ -57,31 +59,27 @@ class CharChain:
     areas are exact three-point Gauss integrals, so no accuracy is lost
     when a query lands inside a segment.
 
-    The control points are stored once as ``(4, m)`` arrays, row k holding
-    control point k of every segment. ``x_at``, ``u_at``, ``locate`` and
-    ``area_between`` take one parameter and stay on Python floats; their
-    ``*_many`` forms take arrays of parameters and return the same values
-    bit for bit.
+    ``ctrl_x``/``ctrl_u`` are the ``(4, m)`` transposes of the segments'
+    control values, row k holding control point k of every segment.
+    ``x_at``, ``u_at``, ``locate`` and ``area_between`` take one parameter
+    and stay on Python floats; their ``*_many`` forms take arrays of
+    parameters and return the same values bit for bit.
     """
 
-    def __init__(self, nodes: list[CharNode], segments: list[BezierSegment]):
+    def __init__(self, nodes: np.recarray, segments: np.recarray):
         self.nodes = nodes
         self.segments = segments
-        self.node_s = np.array([nd.s for nd in nodes])
-        x_rows = [bezier._controls(seg, 0) for seg in segments]
-        u_rows = [bezier._controls(seg, 1) for seg in segments]
-        self.ctrl_x = np.array(x_rows).T
-        self.ctrl_u = np.array(u_rows).T
+        self.node_s = np.ascontiguousarray(nodes.s)
+        self.ctrl_x = segments.x.T
+        self.ctrl_u = segments.u.T
         areas = bezier.gauss_area(self.ctrl_x, self.ctrl_u, 0.0, 1.0)
         self.seg_prefix = np.concatenate(([0.0], np.cumsum(areas)))
-        self.left_state = nodes[0].u
-        self.right_state = nodes[-1].u
-        self.x_left_end = nodes[0].x
-        self.x_right_end = nodes[-1].x
+        self.left_state, self.right_state = nodes.u[[0, -1]].tolist()
+        self.x_left_end, self.x_right_end = nodes.x[[0, -1]].tolist()
         self.seg_xmin = self.ctrl_x.min(axis=0)
         self.seg_xmax = self.ctrl_x.max(axis=0)
         # Python-float copies: the one-parameter queries stay off numpy scalars
-        self._x_rows, self._u_rows = x_rows, u_rows
+        self._x_rows, self._u_rows = segments.x.tolist(), segments.u.tolist()
         self._s_list = self.node_s.tolist()
         self._prefix_list = self.seg_prefix.tolist()
 
@@ -178,7 +176,7 @@ class CharChain:
         cand = np.flatnonzero((self.seg_xmin - pad <= x_line) & (x_line <= self.seg_xmax + pad))
         out: list[float] = []
         for i in cand:
-            for t in bezier.intersect_vertical(self.segments[int(i)], x_line):
+            for t in bezier.intersect_vertical(self._x_rows[i], x_line):
                 s = self.param(int(i), t)
                 if s_lo - 1e-12 <= s <= s_hi + 1e-12:
                     out.append(s)
@@ -195,10 +193,9 @@ class CharChain:
         s_lo = self.node_s[0] if s_lo is None else s_lo
         s_hi = self.node_s[-1] if s_hi is None else s_hi
         out = []
-        for i, seg in enumerate(self.segments):
+        for i, (x0, x1, x2, x3) in enumerate(self._x_rows):
             if self.node_s[i + 1] < s_lo or self.node_s[i] > s_hi:
                 continue
-            x0, x1, x2, x3 = seg.a[0], seg.c1[0], seg.c2[0], seg.d[0]
             a = 3.0 * (-x0 + 3.0 * x1 - 3.0 * x2 + x3)
             b = 6.0 * (x0 - 2.0 * x1 + x2)
             c = 3.0 * (x1 - x0)
@@ -213,28 +210,27 @@ class CharChain:
 _SLOPE_CAP = 8.0  # max |du/dx| for graph-form tangents
 
 
-def _build_segment(a: CharNode, b: CharNode, graph_form: bool) -> BezierSegment:
-    h = abs(b.x - a.x)
+def _build_segment(a, b, graph_form: bool):
+    """Segment between two nodes given as (s, x, u, tx, tu, cum_area)."""
+    sa, xa, ua, txa, tua, area_a = a
+    sb, xb, ub, txb, tub, area_b = b
+    h = abs(xb - xa)
     if h == 0.0:
         raise bezier.DegenerateSegment(
-            f"zero horizontal extent between s={a.s} and s={b.s}")
+            f"zero horizontal extent between s={sa} and s={sb}")
     if graph_form:
         # slope tangents (1, du/dx); with r1 = h this is the plain graph
         # construction and carries the generic fifth-order error
-        fa, fb = 1.0 / abs(a.tx), 1.0 / abs(b.tx)
+        fa, fb = 1.0 / abs(txa), 1.0 / abs(txb)
     else:
         # chain-parameter scaling: end derivatives equal ds * curve', which
         # stays regular through folds where the horizontal extent collapses
-        ds = b.s - a.s
-        fa = fb = ds / h
+        fa = fb = (sb - sa) / h
     return bezier.construct_area_preserving(
-        (a.x, a.u), (b.x, b.u),
-        (a.tx * fa, a.tu * fa),
-        (b.tx * fb, b.tu * fb),
-        b.cum_area - a.cum_area)
+        (xa, ua), (xb, ub), (txa * fa, tua * fa), (txb * fb, tub * fb), area_b - area_a)
 
 
-def interpolate_chain(nodes: list[CharNode]) -> CharChain:
+def interpolate_chain(nodes: np.recarray) -> CharChain:
     """Build the Bezier chain over the flowed nodes.
 
     Shallow segments (endpoint slopes within the cap) interpolate in graph
@@ -246,20 +242,21 @@ def interpolate_chain(nodes: list[CharNode]) -> CharChain:
     """
     if len(nodes) < 2:
         raise ValueError("need at least two chain nodes")
-    segments = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        shallow = (a.tx != 0.0 and b.tx != 0.0
-                   and abs(a.tu) <= _SLOPE_CAP * abs(a.tx)
-                   and abs(b.tu) <= _SLOPE_CAP * abs(b.tx))
+    points = list(zip(*(nodes[name].tolist()
+                        for name in ("s", "x", "u", "tx", "tu", "cum_area"))))
+    # slopes within the cap at both ends
+    ok = (nodes.tx != 0.0) & (np.abs(nodes.tu) <= _SLOPE_CAP * np.abs(nodes.tx))
+    built = []
+    for a, b, shallow in zip(points[:-1], points[1:], (ok[:-1] & ok[1:]).tolist()):
         seg = _build_segment(a, b, graph_form=shallow)
-        if seg.fallback:
+        if seg[2]:
             retry = _build_segment(a, b, graph_form=False)
-            if not retry.fallback:
+            if not retry[2]:
                 seg = retry
-        segments.append(seg)
-    chain = CharChain(nodes, segments)
+        built.append(seg)
+    chain = CharChain(nodes, np.rec.fromrecords(built, dtype=_SEGMENT))
     total = chain.total_area()
-    want = nodes[-1].cum_area - nodes[0].cum_area
+    want = points[-1][5] - points[0][5]
     if abs(total - want) > 1e-11 * max(1.0, abs(want)):
         raise ProjectionFailure(
             f"segment areas drifted from node areas: {total} vs {want}")
@@ -504,8 +501,8 @@ def geap_project(chain: CharChain) -> ProjectedFront:
     mode = "upper" if upper else "lower"
 
     if not chain.fold_params():
-        xs = [nd.x for nd in chain.nodes]
-        if all(b >= a for a, b in zip(xs[:-1], xs[1:])):
+        xs = chain.nodes.x
+        if np.all(xs[1:] >= xs[:-1]):
             return ProjectedFront(chain, mode, (), ((lo, hi),),
                                   chain.x_left_end, chain.x_right_end)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import BracketingFailure
+from .errors import BracketingFailure, DomainError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -73,9 +73,11 @@ def poly_roots(coeffs, lo: float, hi: float) -> list[float]:
     polynomial there is within its rounding bound. So a double root, which
     the eigenvalue solver may split into a near-real pair, counts once:
     neighbours with the polynomial still within rounding between them
-    merge into their mean.
+    merge into their mean. A non-finite coefficient raises DomainError.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if not np.isfinite(c).all():
+        raise DomainError(f"polynomial coefficients overflow: {c.tolist()}")
     if len(c) < 2:
         return []
     dc = P.polyder(c)

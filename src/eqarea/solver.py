@@ -198,8 +198,8 @@ def solve_riemann_numerical(flux: FluxFunction, u_L: float, u_R: float, x0: floa
     """
     front, shocks, waves = _riemann_front(flux, u_L, u_R, x0, t, n)
     if window is None:
-        xs_all = [nd.x for nd in front.chain.nodes] + [front.left_cut_x, front.right_cut_x]
-        window = (min(xs_all) - 1.0, max(xs_all) + 1.0)
+        xs = np.append(front.chain.nodes.x, (front.left_cut_x, front.right_cut_x))
+        window = (xs.min() - 1.0, xs.max() + 1.0)
     xs = np.linspace(window[0], window[1], samples)
     us = sample_front(front, xs)
     return SolutionProfile(t, xs, us, shocks, waves, window, front)

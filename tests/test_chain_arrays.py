@@ -7,6 +7,8 @@ equal them exactly (``==``, not a tolerance), because the CSV output is
 required to stay byte-identical.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -24,25 +26,34 @@ _GAUSS3_W = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
 # -- reference: the per-point scalar code ------------------------------------
 
+@lru_cache(maxsize=4)
+def ref_segments(chain):
+    """The chain's segments as (x controls, u controls) Python-float tuples."""
+    return [(tuple(xc), tuple(uc))
+            for xc, uc in zip(chain.segments.x.tolist(), chain.segments.u.tolist())]
+
+
 def ref_point_at(seg, t):
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = seg
     s = 1.0 - t
     b0 = s * s * s
     b1 = 3.0 * s * s * t
     b2 = 3.0 * s * t * t
     b3 = t * t * t
-    x = b0 * seg.a[0] + b1 * seg.c1[0] + b2 * seg.c2[0] + b3 * seg.d[0]
-    y = b0 * seg.a[1] + b1 * seg.c1[1] + b2 * seg.c2[1] + b3 * seg.d[1]
+    x = b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
+    y = b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3
     return x, y
 
 
 def ref_derivative_at(seg, t):
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = seg
     s = 1.0 - t
-    dx = 3.0 * (s * s * (seg.c1[0] - seg.a[0])
-                + 2.0 * s * t * (seg.c2[0] - seg.c1[0])
-                + t * t * (seg.d[0] - seg.c2[0]))
-    dy = 3.0 * (s * s * (seg.c1[1] - seg.a[1])
-                + 2.0 * s * t * (seg.c2[1] - seg.c1[1])
-                + t * t * (seg.d[1] - seg.c2[1]))
+    dx = 3.0 * (s * s * (x1 - x0)
+                + 2.0 * s * t * (x2 - x1)
+                + t * t * (x3 - x2))
+    dy = 3.0 * (s * s * (y1 - y0)
+                + 2.0 * s * t * (y2 - y1)
+                + t * t * (y3 - y2))
     return dx, dy
 
 
@@ -65,16 +76,16 @@ def ref_locate(chain, s):
 
 def ref_x_at(chain, s):
     i, t = ref_locate(chain, s)
-    return float(ref_point_at(chain.segments[i], t)[0])
+    return float(ref_point_at(ref_segments(chain)[i], t)[0])
 
 
 def ref_u_at(chain, s):
     i, t = ref_locate(chain, s)
-    return float(ref_point_at(chain.segments[i], t)[1])
+    return float(ref_point_at(ref_segments(chain)[i], t)[1])
 
 
 def ref_partial_area(chain, i, t0, t1):
-    seg = chain.segments[i]
+    seg = ref_segments(chain)[i]
     total = 0.0
     for gt, gw in zip(_GAUSS3_T, _GAUSS3_W):
         t = t0 + (t1 - t0) * gt
@@ -158,7 +169,7 @@ def test_array_forms_equal_per_point_reference(example_id, n):
         chain = front.chain
         ss = probe_params(chain)
 
-        areas = [ref_segment_area(seg) for seg in chain.segments]
+        areas = [ref_segment_area(seg) for seg in ref_segments(chain)]
         assert chain.seg_prefix.tolist() == np.concatenate(([0.0], np.cumsum(areas))).tolist()
 
         i_many, t_many = chain.locate_many(ss)

@@ -5,6 +5,7 @@ import pytest
 
 from eqarea.characteristics import InitialData, Piece, flow, seed_riemann, seed_smooth
 from eqarea.errors import DegenerateStates
+from eqarea.flux import parse_flux_spec
 from eqarea.projection import interpolate_chain
 
 
@@ -139,3 +140,76 @@ def test_initial_data_riemann_and_box():
     box = InitialData.box(0.0, 5.0, 5.0, 0.0)
     assert box.jumps == ((0.0, 0.0, 5.0), (5.0, 5.0, 0.0))
     assert [p.value for p in box.pieces] == [0.0, 5.0, 0.0]
+
+
+# -- reference: the per-node loops that the record arrays replaced ------------
+
+def ref_seed_riemann(u_L, u_R, x0, n):
+    du = u_R - u_L
+    return [dict(s=i / (n - 1), u=u_L + du * (i / (n - 1)), x0=x0, tx0=0.0, tu=du,
+                 base_area=0.0) for i in range(n)]
+
+
+def ref_seed_smooth(piece, n):
+    nodes = []
+    base = 0.0
+    xs = [float(x) for x in np.linspace(piece.x_lo, piece.x_hi, n)]
+    for i, xi in enumerate(xs):
+        if i > 0:
+            base += piece.integral(xs[i - 1], xi)
+        nodes.append(dict(s=xi, u=float(piece.g(xi)), x0=xi, tx0=1.0,
+                          tu=float(piece.g1(xi)), base_area=base))
+    return nodes
+
+
+def ref_flow(nodes, flux, t):
+    def phi(u):
+        return float(flux(u, 1)) * u - float(flux(u))
+
+    phi0 = phi(nodes[0]["u"])
+    out = []
+    for nd in nodes:
+        fp = float(flux(nd["u"], 1))
+        fpp = float(flux(nd["u"], 2))
+        out.append(dict(nd, x=nd["x0"] + fp * t, tx=nd["tx0"] + t * fpp * nd["tu"],
+                        cum_area=nd["base_area"] + t * (phi(nd["u"]) - phi0)))
+    return out
+
+
+def assert_same_front(got, want):
+    for name in ("s", "u", "x", "tx", "cum_area"):
+        assert got[name].tolist() == [nd[name] for nd in want], name
+
+
+ORACLE_FLUXES = {
+    "ex1": ("polynomial:[0,0,4,-4,1]", 2.0, 0.0),
+    "ex3": ("polynomial:[0,0,3,-1.6666666666666667,0.25]", 0.0, 3.5),
+    "bl": ("named:buckley-leverett{M:0.5}", 1.0, 0.0),
+    "rational": ("rational:[0.0,0.35746712316898616,0.19099248938301286]"
+                 "/[1,0.21991591018707474,0.5]", -0.6, 0.6),
+}
+ORACLE_PIECES = {
+    "tanh": Piece(-4.0, 4.0, lambda x: -math.tanh(x), lambda x: -1.0 / math.cosh(x) ** 2),
+    "hump": Piece(0.0, 1.0, lambda x: math.sin(math.pi * x) ** 2,
+                  lambda x: math.pi * math.sin(2.0 * math.pi * x)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_FLUXES)
+def test_seed_riemann_and_flow_equal_per_node_loop(name):
+    text, u_L, u_R = ORACLE_FLUXES[name]
+    flux = parse_flux_spec(text)
+    for n in (9, 161, 641):
+        nodes, ref = seed_riemann(u_L, u_R, 0.3, n), ref_seed_riemann(u_L, u_R, 0.3, n)
+        for t in (0.01, 1.0, 100.0):
+            assert_same_front(flow(nodes, flux, t), ref_flow(ref, flux, t))
+
+
+@pytest.mark.parametrize("piece", ORACLE_PIECES)
+def test_seed_smooth_and_flow_equal_per_node_loop(piece):
+    for n in (9, 161, 641):
+        nodes, ref = seed_smooth(ORACLE_PIECES[piece], n), ref_seed_smooth(ORACLE_PIECES[piece], n)
+        for text, _, _ in ORACLE_FLUXES.values():
+            flux = parse_flux_spec(text)
+            for t in (0.01, 1.0, 100.0):
+                assert_same_front(flow(nodes, flux, t), ref_flow(ref, flux, t))

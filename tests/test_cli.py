@@ -169,16 +169,24 @@ def test_converge_order_empty_around_wrong_wave_count(monkeypatch):
     assert rows[3][2] != "" and np.isfinite(float(rows[3][2]))
 
 
+# the last argument holds the non-finite number; 1e400 parses as inf, and
+# the second flux has the finite F whose F' coefficient 2e308 overflows
 @pytest.mark.parametrize("argv", [
     ["solve", "--flux=polynomial:[0,0,4,-4,1]", "--riemann=0,nan,1"],
     ["solve", "--flux=polynomial:[0,0,4,-4,1]", "--riemann=0,2,inf"],
     ["solve", "--flux=polynomial:[0,0,4,-4,1]", "--riemann=0,2,0", "--time=nan"],
     ["envelope", "--flux=polynomial:[0,0,4,-4,1]", "--states=inf,0"],
-], ids=["riemann-nan", "riemann-inf", "time-nan", "states-inf"])
+    *([*cmd, f"--flux={flux}"]
+      for flux in ("polynomial:[0,1e400]", "polynomial:[0,0,1e308,1e308]")
+      for cmd in (["solve", "--riemann=0,1,0"], ["solve", "--riemann=0,1,0", "--exact"],
+                  ["envelope", "--states=1,0"])),
+], ids=["riemann-nan", "riemann-inf", "time-nan", "states-inf",
+        *(f"flux-{kind}-{cmd}" for kind in ("inf", "overflowing-derivative")
+          for cmd in ("solve", "exact", "envelope"))])
 def test_non_finite_numbers_rejected(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + [f"--out={out}"]) == 1
-    flag = next(a for a in argv if "nan" in a or "inf" in a).split("=")[0]
+    flag = argv[-1].split("=")[0]
     assert flag in capsys.readouterr().err
     assert not out.exists()
 
@@ -203,4 +211,15 @@ def test_pole_inside_states_is_domain_failure(tmp_path, capsys, flux, argv):
     assert main(argv + [f"--flux={flux}", f"--out={tmp_path}"]) == 2
     err = capsys.readouterr().err
     assert "denominator vanishes at u = " in err and "[-1, 1]" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["solve", "--riemann=0,2e4,0"],
+                                  ["solve", "--riemann=0,2e4,0", "--exact"],
+                                  ["envelope", "--states=2e4,0"]],
+                         ids=["numerical", "exact", "envelope"])
+def test_overflow_is_numerical_failure(tmp_path, capsys, argv):
+    # F' = 3e300 u^2 is finite at every coefficient and overflows at 2e4
+    assert main(argv + ["--flux=polynomial:[0,0,0,1e300]", f"--out={tmp_path}"]) == 2
+    assert "overflow" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -115,6 +115,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_flux_spec("named:buckley-leverett{M:-1}")
 
+    @pytest.mark.parametrize("text", ["polynomial:[0,1e400]", "polynomial:[0,0,1e308,1e308]",
+                                      "rational:[0,1e200]/[1,1e200]",
+                                      "named:buckley-leverett{M:1e400}"])
+    def test_non_finite_coefficients_rejected(self, text):
+        # a coefficient of F, or of the F' or F'' numerator derived from it
+        with pytest.raises(ParseError, match="not finite"):
+            parse_flux_spec(text)
+
 
 # a simple pole at 0, a simple pole at 0.3 and a double pole at 0.3
 POLE_FLUXES = {"simple-0": ("rational:[1]/[0,1]", "u = 0,"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqarea.errors import BracketingFailure
+from eqarea.errors import BracketingFailure, DomainError
 from eqarea.rootfind import bisect, poly_roots
 
 
@@ -40,3 +40,9 @@ def test_poly_roots_polishes_to_the_last_bits():
     roots = np.array([1.0 / 3.0, 0.35, 2.0])
     coeffs = np.polynomial.polynomial.polyfromroots(roots)
     assert poly_roots(coeffs, 0.0, 3.0) == pytest.approx(roots, abs=1e-15)
+
+
+def test_poly_roots_rejects_non_finite_coefficients():
+    for coeffs in ([-math.inf, 0.0, 3e300], [1.0, math.nan]):
+        with pytest.raises(DomainError, match="overflow"):
+            poly_roots(coeffs, -1.0, 1.0)
